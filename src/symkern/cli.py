@@ -2,7 +2,7 @@
 
 Subcommands: experiment {pendulum|chain|wave}, train, predict,
 diagnose-separability, check-bounds.  Exit codes: 0 success, 1 runtime
-failure, 2 configuration error.
+failure, 2 configuration error or bad command-line input.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import EXPERIMENTS, SCALES, load_config
 from .data import build_hb_dataset, sample_states, separability_diagnostic
-from .errors import ConfigError, SymkernError
+from .errors import ConfigError, SymkernError, UsageError
 from .experiment import build_system, run_experiment, run_training, sampler_for
 from .ioutil import ensure_dir, read_json, write_csv
 from .predictor import PredictorModel, contraction_margin, rollout
@@ -82,9 +82,16 @@ def _cmd_train(args):
 
 
 def _cmd_predict(args):
+    try:
+        x0 = np.array([float(v) for v in args.x0.split(",")], dtype=float)
+    except ValueError:
+        raise UsageError(f"--x0 must be comma-separated numbers, got {args.x0!r}") from None
+    if args.steps < 0:
+        raise UsageError(f"--steps must be nonnegative, got {args.steps}")
     doc = read_json(args.model)
     surr, delta_t = surrogate_from_dict(doc)
-    x0 = np.array([float(v) for v in args.x0.split(",")], dtype=float)
+    if x0.size != surr.dim:
+        raise UsageError(f"--x0 has {x0.size} entries, the model state has {surr.dim}")
     model = PredictorModel(surr, delta_t)
     traj = rollout(model, x0, args.steps)
     ensure_dir(args.out)
@@ -158,6 +165,9 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
+        return 2
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=_sys.stderr)
         return 2
     except (SymkernError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=_sys.stderr)

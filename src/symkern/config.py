@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 
 from .errors import ConfigError
 from .kernels import FAMILIES
@@ -104,10 +103,43 @@ def _merge(base: dict, override: dict, path: str = ""):
             base[key] = val
 
 
+def _kind(val) -> str:
+    if val is None:
+        return "null"
+    for typ, name in ((bool, "a boolean"), (int, "an integer"), (float, "a number"),
+                      (str, "a string"), (list, "a list")):
+        if isinstance(val, typ):
+            return name
+    return "a table"
+
+
+# Kinds a leaf accepts, by the kind of its default: a number leaf also takes
+# an integer, and the one null default, selection.m_star, takes an integer.
+_ACCEPTS = {"a number": ("a number", "an integer"), "null": ("an integer", "null")}
+
+
+def _check_types(cfg: dict, schema: dict, path: str = ""):
+    """Every leaf of cfg, list items included, has the kind of its default."""
+    for key, ref in schema.items():
+        where = f"{path}.{key}" if path else key
+        val = cfg[key]
+        if isinstance(ref, dict):
+            _check_types(val, ref, where)
+            continue
+        leaves = [(where, val, ref)]
+        if isinstance(ref, list) and isinstance(val, list):
+            leaves = [(f"{where}[{i}]", v, ref[0]) for i, v in enumerate(val)] if ref else []
+        for name, v, r in leaves:
+            accepts = _ACCEPTS.get(_kind(r), (_kind(r),))
+            if _kind(v) not in accepts:
+                raise ConfigError(f"{name}: expected {' or '.join(accepts)}, got {_kind(v)}")
+
+
 def validate(cfg: dict) -> dict:
-    """Cross-field checks; returns cfg on success."""
+    """Type and cross-field checks; returns cfg on success."""
     if cfg["experiment"] not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {cfg['experiment']!r}")
+    _check_types(cfg, default_config(cfg["experiment"], cfg["scale"]))
     if cfg["scenario"] not in ("A", "B"):
         raise ConfigError(f"scenario must be 'A' or 'B', got {cfg['scenario']!r}")
     micro = cfg["micro_dt"]
@@ -136,8 +168,8 @@ def validate(cfg: dict) -> dict:
     m_star = cfg["selection"]["m_star"]
     if m_star is not None and m_star < 1:
         raise ConfigError("selection.m_star must be >= 1 (or null for the budget)")
-    if not math.isfinite(cfg["seed"]):
-        raise ConfigError("seed must be a finite integer")
+    if cfg["seed"] < 0:
+        raise ConfigError("seed must be a nonnegative integer")
     return cfg
 
 

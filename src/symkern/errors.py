@@ -83,3 +83,7 @@ class AllCandidatesFailed(SymkernError, RuntimeError):
 
 class ConfigError(SymkernError, ValueError):
     pass
+
+
+class UsageError(SymkernError, ValueError):
+    """A command-line value that cannot be used, such as a malformed state."""

@@ -12,6 +12,7 @@ the map is symplectic by construction regardless of how well s was fitted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,7 @@ class PredictorModel:
     def n(self) -> int:
         return self.surrogate.dim // 2
 
+    @cached_property
     def gradient_noise_floor(self) -> float:
         """Rounding-noise bound for one gradient evaluation.
 
@@ -68,7 +70,7 @@ def _solve_momentum(model: PredictorModel, q0, p0, p_start, tol):
     Returns (P, gradient of s at (q0, P), iterations, residual).
     """
     s, dt, n = model.surrogate, model.delta_t, model.n
-    tol_eff = max(tol, dt * model.gradient_noise_floor())
+    tol_eff = max(tol, dt * model.gradient_noise_floor)
     P = p_start.copy()
     evals = 0
 

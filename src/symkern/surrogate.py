@@ -9,17 +9,20 @@ with coefficients from the generalized Gram system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, DuplicateFunctional, EmptyDataset
 from .kernels import (
+    LONG,
     KernelSpec,
+    coord_index,
     grad2_accumulate,
-    kernel_mixed2,
     mixed2_accumulate,
     mixed2_accumulate_precise,
     mixed2_field,
+    mixed2_pairs,
     mixed2_self,
 )
 from .linalg import cholesky_solve
@@ -115,8 +118,16 @@ class Surrogate:
         x = self._check_point(x)
         if self.size == 0:
             return np.zeros(self.dim)
-        return mixed2_accumulate_precise(self.kernel, x, self.centers, self.coords,
-                                         self.coeffs)
+        centers, coeffs, index = self._precise_terms
+        return mixed2_accumulate_precise(self.kernel, x, centers, self.coords, coeffs,
+                                         index=index)
+
+    @cached_property
+    def _precise_terms(self):
+        """LONG copies of centers and coeffs plus the coordinate index,
+        built once for the many gradient_precise calls of a rollout."""
+        return (self.centers.astype(LONG), self.coeffs.astype(LONG),
+                coord_index(self.coords, self.dim))
 
     def value_many(self, X):
         X = np.asarray(X, dtype=float)
@@ -171,14 +182,8 @@ def gram_matrix(kernel: KernelSpec, functionals):
     bit.
     """
     centers, coords = _functional_arrays(functionals)
-    m = coords.size
-    G = np.empty((m, m))
-    idx = np.arange(m)
-    for i in range(m):
-        F = mixed2_field(kernel, centers, centers[i], int(coords[i]))
-        G[i, :] = F[idx, coords]
-    upper = np.triu(G)
-    return upper + np.triu(G, 1).T
+    G = mixed2_pairs(kernel, centers, coords, centers, coords)
+    return np.triu(G) + np.triu(G, 1).T
 
 
 def fit(kernel: KernelSpec, functionals, targets) -> Surrogate:
@@ -223,11 +228,10 @@ def rkhs_inner(kernel: KernelSpec, sa: Surrogate, sb: Surrogate) -> float:
         raise ValueError("surrogates must share one kernel")
     if sa.size == 0 or sb.size == 0:
         return 0.0
-    idx = np.arange(sa.size)
+    K = mixed2_pairs(kernel, sa.centers, sa.coords, sb.centers, sb.coords)
     total = 0.0
     for j in range(sb.size):
-        F = mixed2_field(kernel, sa.centers, sb.centers[j], int(sb.coords[j]))
-        total += float(sa.coeffs @ F[idx, sa.coords]) * sb.coeffs[j]
+        total += float(sa.coeffs @ K[j]) * sb.coeffs[j]
     return total
 
 

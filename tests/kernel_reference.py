@@ -1,0 +1,133 @@
+"""Reference loops for the blocked pair evaluators in symkern.kernels.
+
+These are the one-functional-at-a-time forms that the evaluators replaced,
+with h' and h'' from separate profile functions.  The blocked forms must
+reproduce them bit for bit, so the tests compare with np.array_equal.
+"""
+
+import numpy as np
+
+from symkern.kernels import COINCIDENT_R2, LONG, profile_d1_zero
+
+
+def profile_d1(spec, s):
+    s = np.asarray(s, dtype=float)
+    e2 = spec.epsilon**2
+    if spec.family == "gaussian":
+        return -e2 * np.exp(-e2 * s)
+    if spec.family == "imq":
+        return -0.5 * e2 * (1.0 + e2 * s) ** -1.5
+    t = spec.epsilon * np.sqrt(s)
+    if spec.family == "matern32":
+        return -0.5 * e2 * np.exp(-t)
+    return -(e2 / 6.0) * (1.0 + t) * np.exp(-t)
+
+
+def profile_d2(spec, s):
+    s = np.asarray(s, dtype=float)
+    e2 = spec.epsilon**2
+    if spec.family == "gaussian":
+        return e2**2 * np.exp(-e2 * s)
+    if spec.family == "imq":
+        return 0.75 * e2**2 * (1.0 + e2 * s) ** -2.5
+    t = spec.epsilon * np.sqrt(s)
+    if spec.family == "matern52":
+        return (e2**2 / 12.0) * np.exp(-t)
+    near = s < COINCIDENT_R2
+    t_safe = np.where(near, 1.0, t)
+    return np.where(near, 0.0, e2**2 * np.exp(-t_safe) / (4.0 * t_safe))
+
+
+def mixed2_field(spec, X, x, alpha):
+    D = X - x[None, :]
+    s = np.einsum("ij,ij->i", D, D)
+    near = s < COINCIDENT_R2
+    h1 = profile_d1(spec, s)
+    h2 = profile_d2(spec, s)
+    w = -4.0 * h2 * D[:, alpha]
+    w[near] = 0.0
+    F = w[:, None] * D
+    F[:, alpha] += -2.0 * h1
+    if np.any(near):
+        F[near, :] = 0.0
+        F[near, alpha] = -2.0 * profile_d1_zero(spec)
+    return F
+
+
+def mixed2_pairs(spec, X, coords, centers, alphas):
+    """K[j, i] = mixed2_field(spec, X, centers[j], alphas[j])[i, coords[i]]."""
+    idx = np.arange(X.shape[0])
+    return np.array([mixed2_field(spec, X, c, int(a))[idx, coords]
+                     for c, a in zip(centers, alphas)])
+
+
+def gram_matrix(spec, centers, coords):
+    m = coords.size
+    G = np.empty((m, m))
+    idx = np.arange(m)
+    for i in range(m):
+        F = mixed2_field(spec, centers, centers[i], int(coords[i]))
+        G[i, :] = F[idx, coords]
+    upper = np.triu(G)
+    return upper + np.triu(G, 1).T
+
+
+def rkhs_inner(spec, sa, sb):
+    idx = np.arange(sa.size)
+    total = 0.0
+    for j in range(sb.size):
+        F = mixed2_field(spec, sa.centers, sb.centers[j], int(sb.coords[j]))
+        total += float(sa.coeffs @ F[idx, sa.coords]) * sb.coeffs[j]
+    return total
+
+
+def mixed2_accumulate(spec, X, centers, alphas, coeffs):
+    G = np.zeros_like(X)
+    for c_j, x_j, a_j in zip(coeffs, centers, alphas):
+        D = X - x_j[None, :]
+        s = np.einsum("ij,ij->i", D, D)
+        near = s < COINCIDENT_R2
+        h1 = profile_d1(spec, s)
+        h2 = profile_d2(spec, s)
+        w = (-4.0 * c_j) * h2 * D[:, a_j]
+        w[near] = 0.0
+        G += w[:, None] * D
+        G[:, a_j] += (-2.0 * c_j) * np.where(near, profile_d1_zero(spec), h1)
+    return G
+
+
+def _profiles_long(spec, s):
+    e2 = LONG(spec.epsilon) ** 2
+    if spec.family == "gaussian":
+        ex = np.exp(-e2 * s)
+        return -e2 * ex, e2 * e2 * ex
+    if spec.family == "imq":
+        u = 1.0 + e2 * s
+        return -0.5 * e2 * u**-1.5, 0.75 * e2 * e2 * u**-2.5
+    t = LONG(spec.epsilon) * np.sqrt(s)
+    ex = np.exp(-t)
+    if spec.family == "matern52":
+        return -(e2 / 6.0) * (1.0 + t) * ex, (e2 * e2 / 12.0) * ex
+    near = s < COINCIDENT_R2
+    t_safe = np.where(near, LONG(1.0), t)
+    h2 = np.where(near, LONG(0.0), e2 * e2 * np.exp(-t_safe) / (4.0 * t_safe))
+    return -0.5 * e2 * ex, h2
+
+
+def mixed2_accumulate_precise(spec, x, centers, alphas, coeffs):
+    d = x.size
+    D = np.asarray(x, dtype=LONG)[None, :] - np.asarray(centers, dtype=LONG)
+    s = np.einsum("ij,ij->i", D, D)
+    near = s < COINCIDENT_R2
+    h1, h2 = _profiles_long(spec, s)
+    c = np.asarray(coeffs, dtype=LONG)
+    dc = D[np.arange(len(alphas)), alphas]
+    w = -4.0 * h2 * dc * c
+    w[near] = 0.0
+    g = D.T @ w
+    h1 = np.where(near, LONG(profile_d1_zero(spec)), h1)
+    diag_terms = -2.0 * c * h1
+    alphas = np.asarray(alphas)
+    for b in range(d):
+        g[b] += np.sum(diag_terms[alphas == b])
+    return g.astype(float)

@@ -119,6 +119,35 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["experiment", "pendulum", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("override, where", [
+    ({"greedy": {"max_centers": "30"}}, "greedy.max_centers: expected an integer, got a string"),
+    ({"seed": 1.5}, "seed: expected an integer, got a number"),
+    ({"selection": {"epsilons": [1.0, "2"]}},
+     "selection.epsilons[1]: expected a number or an integer, got a string"),
+    ({"selection": {"m_star": 2.5}}, "selection.m_star: expected an integer or null, got a number"),
+])
+def test_config_leaf_type_exit_code(tmp_path, capsys, override, where):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"experiment": "pendulum", **override}))
+    assert main(["experiment", "pendulum", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {where}\n"
+
+
+@pytest.mark.parametrize("x0, steps, message", [
+    ("a,b", "2", "usage error: --x0 must be comma-separated numbers, got 'a,b'\n"),
+    ("0.1,0.2,0.3", "2", "usage error: --x0 has 3 entries, the model state has 2\n"),
+    ("0.1,0.2", "-1", "usage error: --steps must be nonnegative, got -1\n"),
+])
+def test_predict_bad_input_exit_code(mini_run, tmp_path, capsys, x0, steps, message):
+    _, out = mini_run
+    rc = main(["predict", "--model", str(out / "model_dt0.1.json"),
+               "--x0", x0, "--steps", steps, "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "rollout.csv").exists()
+
+
 def test_runtime_error_exit_code(tmp_path):
     assert main(["predict", "--model", str(tmp_path / "missing.json"),
                  "--x0", "0,0", "--steps", "1"]) == 1

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import kernel_reference as ref
+from symkern import kernels
 from symkern.errors import DimensionMismatch
 from symkern.kernels import (
     FAMILIES,
@@ -10,7 +12,9 @@ from symkern.kernels import (
     kernel_grad2,
     kernel_mixed2,
     mixed2_accumulate,
+    mixed2_accumulate_precise,
     mixed2_field,
+    mixed2_pairs,
     mixed2_self,
 )
 
@@ -189,3 +193,65 @@ def test_bad_spec_rejected():
         KernelSpec("cubic", 1.0)
     with pytest.raises(ValueError):
         KernelSpec("gaussian", -1.0)
+
+
+def pair_case(d, seed=11):
+    """Points and centers with exact and near coincidences, with equal and
+    with different coordinates on the two sides."""
+    rng = np.random.default_rng(seed + d)
+    X = rng.uniform(-1.5, 1.5, (13, d))
+    coords = rng.integers(0, d, 13)
+    centers = rng.uniform(-1.5, 1.5, (9, d))
+    alphas = rng.integers(0, d, 9)
+    centers[2], alphas[2] = X[4], coords[4]                  # coincident, same coord
+    centers[5], alphas[5] = X[7], (coords[7] + 1) % d        # coincident, other coord
+    centers[6] = X[9] + 1e-9                                  # under COINCIDENT_R2
+    centers[8] = centers[2]                                   # repeated center
+    coeffs = rng.standard_normal(9)
+    return X, coords, centers, alphas, coeffs
+
+
+# block sizes: one center per block, blocks of 4 that split the 9 centers
+# mid-way, and the module default (all centers in one block)
+BLOCKINGS = [lambda M, d: 1, lambda M, d: 4 * M * d, lambda M, d: kernels.BLOCK_FLOATS]
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+@pytest.mark.parametrize("d", [2, 4, 6])
+@pytest.mark.parametrize("blocking", BLOCKINGS)
+def test_mixed2_pairs_equals_field_loop_bitwise(fam, d, blocking, monkeypatch):
+    X, coords, centers, alphas, _ = pair_case(d)
+    monkeypatch.setattr(kernels, "BLOCK_FLOATS", blocking(X.shape[0], d))
+    spec = KernelSpec(fam, 1.3)
+    K = mixed2_pairs(spec, X, coords, centers, alphas)
+    assert np.array_equal(K, ref.mixed2_pairs(spec, X, coords, centers, alphas))
+    idx = np.arange(X.shape[0])
+    for j in range(centers.shape[0]):
+        F = mixed2_field(spec, X, centers[j], int(alphas[j]))
+        assert np.array_equal(F, ref.mixed2_field(spec, X, centers[j], int(alphas[j])))
+        assert np.array_equal(K[j], F[idx, coords])
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+@pytest.mark.parametrize("d", [2, 4, 6])
+@pytest.mark.parametrize("blocking", BLOCKINGS)
+def test_mixed2_accumulate_equals_center_loop_bitwise(fam, d, blocking, monkeypatch):
+    X, _, centers, alphas, coeffs = pair_case(d)
+    monkeypatch.setattr(kernels, "BLOCK_FLOATS", blocking(X.shape[0], d))
+    spec = KernelSpec(fam, 0.8)
+    G = mixed2_accumulate(spec, X, centers, alphas, coeffs)
+    assert np.array_equal(G, ref.mixed2_accumulate(spec, X, centers, alphas, coeffs))
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_precise_branches_match_float64(fam):
+    # the longdouble profiles of every family, including the matern32
+    # coincident branch, against the float64 path and the reference loop
+    X, _, centers, alphas, coeffs = pair_case(4)
+    spec = KernelSpec(fam, 1.7)
+    scale = np.sum(np.abs(coeffs)) * mixed2_self(spec)
+    for x in X:
+        g = mixed2_accumulate_precise(spec, x, centers, alphas, coeffs)
+        g64 = mixed2_accumulate(spec, x[None, :], centers, alphas, coeffs)[0]
+        assert np.max(np.abs(g - g64)) <= 1e-13 * scale
+        assert np.array_equal(g, ref.mixed2_accumulate_precise(spec, x, centers, alphas, coeffs))

@@ -2,9 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kernel_reference as ref
+from symkern import kernels
 from symkern.errors import DimensionMismatch, DuplicateFunctional
-from symkern.kernels import FAMILIES, KernelSpec
+from symkern.kernels import FAMILIES, KernelSpec, mixed2_accumulate_precise
 from symkern.surrogate import (
     DerivFunctional,
     Surrogate,
@@ -53,6 +57,61 @@ def test_gram_exactly_symmetric_and_near_psd():
         G = gram_matrix(spec, funcs)
         assert np.max(np.abs(G - G.T)) == 0.0
         assert np.min(np.linalg.eigvalsh(G)) >= -1e-9
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+@pytest.mark.parametrize("d", [2, 4, 6])
+@pytest.mark.parametrize("block", [1, 5, None])
+def test_gram_and_rkhs_inner_equal_row_loops(fam, d, block, monkeypatch):
+    # block: centers per evaluator block (None keeps the module default)
+    rng = np.random.default_rng(d)
+    funcs = random_functionals(rng, 12, d)
+    funcs[7] = DerivFunctional(funcs[3].center, (funcs[3].coord + 1) % d)
+    funcs[9] = DerivFunctional(funcs[3].center + 1e-9, funcs[3].coord)
+    if block is not None:
+        monkeypatch.setattr(kernels, "BLOCK_FLOATS", block * 12 * d)
+    spec = KernelSpec(fam, 0.9)
+    centers = np.stack([f.center for f in funcs])
+    coords = np.array([f.coord for f in funcs])
+    assert np.array_equal(gram_matrix(spec, funcs), ref.gram_matrix(spec, centers, coords))
+    sa = Surrogate.from_functionals(spec, funcs, rng.standard_normal(12))
+    sb = Surrogate.from_functionals(spec, funcs[::2], rng.standard_normal(6))
+    assert rkhs_inner(spec, sa, sb) == ref.rkhs_inner(spec, sa, sb)
+    assert rkhs_inner(spec, sb, sa) == ref.rkhs_inner(spec, sb, sa)
+
+
+@st.composite
+def kernel_and_functionals(draw):
+    spec = KernelSpec(draw(st.sampled_from(FAMILIES)), draw(st.floats(0.2, 4.0)))
+    dim = draw(st.integers(1, 4))
+    point = st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)
+    count = draw(st.integers(1, 10))
+    funcs = [DerivFunctional(np.array(draw(point)), draw(st.integers(0, dim - 1)))
+             for _ in range(count)]
+    return spec, funcs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kernel_and_functionals())
+def test_gram_property_symmetric_and_equal_to_row_loop(case):
+    spec, funcs = case
+    G = gram_matrix(spec, funcs)
+    assert np.array_equal(G, G.T)
+    centers = np.stack([f.center for f in funcs])
+    coords = np.array([f.coord for f in funcs])
+    assert np.array_equal(G, ref.gram_matrix(spec, centers, coords))
+
+
+def test_gradient_precise_equals_uncached_evaluation():
+    rng = np.random.default_rng(44)
+    funcs = random_functionals(rng, 15, 4)
+    s = Surrogate.from_functionals(KernelSpec("matern32", 1.4), funcs, rng.standard_normal(15))
+    for x in [funcs[2].center, *rng.uniform(-2, 2, (3, 4))]:
+        g = s.gradient_precise(x)
+        assert np.array_equal(g, mixed2_accumulate_precise(s.kernel, x, s.centers, s.coords,
+                                                           s.coeffs))
+        assert np.array_equal(g, ref.mixed2_accumulate_precise(s.kernel, x, s.centers,
+                                                               s.coords, s.coeffs))
 
 
 def test_fit_zero_target():
