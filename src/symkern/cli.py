@@ -2,7 +2,8 @@
 
 Subcommands: experiment {pendulum|chain|wave}, train, predict,
 diagnose-separability, check-bounds.  Exit codes: 0 success, 1 runtime
-failure, 2 configuration error or bad command-line input.
+failure, 2 configuration error, bad command-line input or a malformed
+model file.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import numpy as np
 
 from .config import EXPERIMENTS, SCALES, load_config
 from .data import build_hb_dataset, sample_states, separability_diagnostic
-from .errors import ConfigError, SymkernError, UsageError
-from .experiment import build_system, run_experiment, run_training, sampler_for
+from .errors import ConfigError, InvalidModel, SymkernError, UsageError
+from .experiment import build_system, run_experiment, sampler_for
 from .ioutil import ensure_dir, read_json, write_csv
 from .predictor import PredictorModel, contraction_margin, rollout
 from .surrogate import surrogate_from_dict
@@ -60,25 +61,33 @@ def build_parser():
     return parser
 
 
-def _cmd_experiment(args):
-    cfg = load_config(args.config, experiment=args.name, scale=args.scale, seed=args.seed)
-    summary = run_experiment(cfg, args.out)
+def _cmd_run(args):
+    """experiment: the whole benchmark; train: sampling and training only."""
+    rollouts = args.command == "experiment"
+    cfg = load_config(args.config, experiment=args.name if rollouts else None,
+                      scale=args.scale, seed=args.seed)
+    summary = run_experiment(cfg, args.out, rollouts=rollouts)
     for tag, info in summary["per_dt"].items():
+        result = (f"rel_final={info['rel_pred_final']:.3e} "
+                  f"baseline={info['rel_baseline_final']:.3e}" if rollouts
+                  else f"train_residual={info['train_residual']:.3e}")
         print(f"dT={tag}: kernel={info['kernel']['family']}(eps={info['kernel']['epsilon']}) "
-              f"centers={info['centers']} rel_final={info['rel_pred_final']:.3e} "
-              f"baseline={info['rel_baseline_final']:.3e}")
+              f"centers={info['centers']} {result}")
     print(f"artifacts: {summary['out_dir']}")
     return 0
 
 
-def _cmd_train(args):
-    cfg = load_config(args.config, scale=args.scale, seed=args.seed)
-    summary = run_training(cfg, args.out)
-    for tag, info in summary["per_dt"].items():
-        print(f"dT={tag}: kernel={info['kernel']['family']}(eps={info['kernel']['epsilon']}) "
-              f"centers={info['centers']} train_residual={info['train_residual']:.3e}")
-    print(f"artifacts: {summary['out_dir']}")
-    return 0
+def _read_model(path):
+    """(surrogate, delta_t) of a predictor model file, whose state (q, p)
+    has an even dimension; InvalidModel if the file is not one."""
+    try:
+        doc = read_json(path)
+    except ValueError as exc:
+        raise InvalidModel(f"{path} is not a JSON document: {exc}") from None
+    surr, delta_t = surrogate_from_dict(doc)
+    if surr.dim % 2:
+        raise InvalidModel(f"a predictor model needs an even dim, got {surr.dim}")
+    return surr, delta_t
 
 
 def _cmd_predict(args):
@@ -88,8 +97,7 @@ def _cmd_predict(args):
         raise UsageError(f"--x0 must be comma-separated numbers, got {args.x0!r}") from None
     if args.steps < 0:
         raise UsageError(f"--steps must be nonnegative, got {args.steps}")
-    doc = read_json(args.model)
-    surr, delta_t = surrogate_from_dict(doc)
+    surr, delta_t = _read_model(args.model)
     if x0.size != surr.dim:
         raise UsageError(f"--x0 has {x0.size} entries, the model state has {surr.dim}")
     model = PredictorModel(surr, delta_t)
@@ -140,7 +148,7 @@ def _cmd_check_bounds(args):
             det_d, resonant = resonance_check(sys_, dt)
             print(f"  dT={dt}: det D = {det_d:.6e} resonant={resonant}")
     if args.model:
-        surr, delta_t = surrogate_from_dict(read_json(args.model))
+        surr, delta_t = _read_model(args.model)
         model = PredictorModel(surr, delta_t)
         sample = states[: min(50, states.shape[0])]
         margin = contraction_margin(model, sample)
@@ -150,8 +158,8 @@ def _cmd_check_bounds(args):
 
 
 _HANDLERS = {
-    "experiment": _cmd_experiment,
-    "train": _cmd_train,
+    "experiment": _cmd_run,
+    "train": _cmd_run,
     "predict": _cmd_predict,
     "diagnose-separability": _cmd_diagnose,
     "check-bounds": _cmd_check_bounds,
@@ -168,6 +176,9 @@ def main(argv=None) -> int:
         return 2
     except UsageError as exc:
         print(f"usage error: {exc}", file=_sys.stderr)
+        return 2
+    except InvalidModel as exc:
+        print(f"model error: {exc}", file=_sys.stderr)
         return 2
     except (SymkernError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=_sys.stderr)

@@ -45,10 +45,6 @@ class NotQuadratic(SymkernError, TypeError):
     pass
 
 
-class NotSeparable(SymkernError, TypeError):
-    pass
-
-
 class RankDeficient(SymkernError, ValueError):
     pass
 
@@ -83,6 +79,10 @@ class AllCandidatesFailed(SymkernError, RuntimeError):
 
 class ConfigError(SymkernError, ValueError):
     pass
+
+
+class InvalidModel(SymkernError, ValueError):
+    """A model document that surrogate_to_dict could not have written."""
 
 
 class UsageError(SymkernError, ValueError):

@@ -167,34 +167,12 @@ def train_one(cfg, sys_, states, dt, out_dir, sel_rows):
     return kspec, surr, trace
 
 
-def run_training(cfg, out_dir):
-    """Sampling plus per-step-size training only (no rollouts, no plots)."""
-    validate(cfg)
-    ensure_dir(out_dir)
-    sys_, ctx = build_system(cfg)
-    if "basis" in ctx:
-        _write_basis(out_dir, ctx["basis"])
-    states = sample_states(sys_, sampler_for(cfg, sys_))
-    sel_rows = []
-    summary = {"out_dir": out_dir, "per_dt": {}}
-    for dt in cfg["delta_t_list"]:
-        kspec, surr, trace = train_one(cfg, sys_, states, dt, out_dir, sel_rows)
-        summary["per_dt"][_dt_tag(dt)] = {
-            "kernel": kspec.to_dict(), "centers": surr.size,
-            "train_residual": trace.final_train_residual,
-            "val_residual": trace.final_val_residual,
-        }
-    write_csv(os.path.join(out_dir, "selection_table.csv"),
-              ["delta_t", "family", "epsilon", "train_error", "val_error", "note"],
-              sel_rows)
-    return summary
-
-
-def run_experiment(cfg, out_dir):
+def run_experiment(cfg, out_dir, rollouts: bool = True):
     """Execute one benchmark end to end; artifacts land in out_dir.
 
-    On failure the MANIFEST records the completed stages before the
-    exception propagates.
+    Without rollouts the run stops once every macro step is trained (the
+    `symkern train` subcommand).  On failure the MANIFEST records the
+    completed stages before the exception propagates.
     """
     validate(cfg)
     ensure_dir(out_dir)
@@ -209,7 +187,7 @@ def run_experiment(cfg, out_dir):
         write_json(os.path.join(out_dir, "MANIFEST.json"), manifest)
 
     try:
-        summary = _run_stages(cfg, out_dir, stages)
+        summary = _run_stages(cfg, out_dir, stages, rollouts)
         checkpoint("complete")
         return summary
     except Exception as exc:
@@ -217,7 +195,7 @@ def run_experiment(cfg, out_dir):
         raise
 
 
-def _run_stages(cfg, out_dir, stages):
+def _run_stages(cfg, out_dir, stages, rollouts):
     sys_, ctx = build_system(cfg)
     stages.append("system")
     if "basis" in ctx:
@@ -225,6 +203,25 @@ def _run_stages(cfg, out_dir, stages):
 
     states = sample_states(sys_, sampler_for(cfg, sys_))
     stages.append(f"sampled:{states.shape[0]}")
+
+    sel_rows, trained = [], []
+    summary = {"out_dir": out_dir, "per_dt": {}}
+    for dt in cfg["delta_t_list"]:
+        tag = _dt_tag(dt)
+        kspec, surr, trace = train_one(cfg, sys_, states, dt, out_dir, sel_rows)
+        stages.append(f"trained:{tag}:{kspec.family}:{kspec.epsilon}:{surr.size}")
+        trained.append((dt, tag, surr, trace))
+        summary["per_dt"][tag] = {
+            "kernel": kspec.to_dict(),
+            "centers": surr.size,
+            "train_residual": trace.final_train_residual,
+            "val_residual": trace.final_val_residual,
+        }
+    write_csv(os.path.join(out_dir, "selection_table.csv"),
+              ["delta_t", "family", "epsilon", "train_error", "val_error", "note"],
+              sel_rows)
+    if not rollouts:
+        return summary
 
     ics = test_states(cfg, sys_)
     micro = cfg["micro_dt"]
@@ -234,15 +231,9 @@ def _run_stages(cfg, out_dir, stages):
     ref_times = np.arange(ref_steps + 1) * micro
     stages.append("reference")
 
-    sel_rows, rel_tagged, energy_tagged = [], [], []
+    rel_tagged, energy_tagged = [], []
     conv_plot, rel_plot = [], []
-    summary = {"out_dir": out_dir, "per_dt": {}}
-
-    for dt in cfg["delta_t_list"]:
-        tag = _dt_tag(dt)
-        kspec, surr, trace = train_one(cfg, sys_, states, dt, out_dir, sel_rows)
-        stages.append(f"trained:{tag}:{kspec.family}:{kspec.epsilon}:{surr.size}")
-
+    for dt, tag, surr, trace in trained:
         conv = trace.convergence_rows()
         centers = np.array([row[0] for row in conv if row[0] > 0], dtype=float)
         conv_plot.append(MetricSeries(f"train dT={tag}", centers,
@@ -260,7 +251,7 @@ def _run_stages(cfg, out_dir, stages):
             ref_traj = Trajectory(times=ref_times, states=ref_path[:, i, :], step=micro)
             pred = rollout(model, ics[i], steps)
             iters_total += int(np.sum(pred.solver_iterations))
-            base = propagate(sys_, ics[i], dt, steps, "midpoint")
+            base = propagate(sys_, ics[i], dt, steps)
             mets = compute_metrics(pred, base, ref_traj, sys_)
             for k in per_ic:
                 per_ic[k].append(mets[k])
@@ -274,20 +265,13 @@ def _run_stages(cfg, out_dir, stages):
                                      means["rel_pred"].y))
         rel_plot.append(MetricSeries(f"midpoint dT={tag}", means["rel_baseline"].x,
                                      means["rel_baseline"].y))
-        summary["per_dt"][tag] = {
-            "kernel": kspec.to_dict(),
-            "centers": surr.size,
-            "train_residual": trace.final_train_residual,
-            "val_residual": trace.final_val_residual,
+        summary["per_dt"][tag].update({
             "rel_pred_final": float(means["rel_pred"].y[-1]),
             "rel_baseline_final": float(means["rel_baseline"].y[-1]),
             "solver_iterations": iters_total,
-        }
+        })
         stages.append(f"rollout:{tag}")
 
-    write_csv(os.path.join(out_dir, "selection_table.csv"),
-              ["delta_t", "family", "epsilon", "train_error", "val_error", "note"],
-              sel_rows)
     write_csv(os.path.join(out_dir, "rel_error.csv"),
               ["delta_t", "t", "predictor", "baseline"], _series_rows(rel_tagged))
     write_csv(os.path.join(out_dir, "energy_error.csv"),

@@ -26,7 +26,6 @@ POWER_CUTOFF = 1e-7
 class GreedyConfig:
     max_centers: int
     residual_tolerance: float = 0.0
-    record_power_values: bool = True
 
     def __post_init__(self):
         if self.max_centers < 1:
@@ -157,16 +156,13 @@ def train_f_greedy(kernel: KernelSpec, data: HBDataset, cfg: GreedyConfig,
             trace.rkhs_error.append(float(e_m))
 
         trace.max_residual.append(a_m)
-        trace.power_value.append(b_m if cfg.record_power_values else float("nan"))
+        trace.power_value.append(b_m)
         if track_val:
             trace.val_residual.append(float(np.max(np.abs(rv))))
 
         j_star, a_star = divmod(i_star, d)
         col = mixed2_field(kernel, X, X[j_star], a_star).ravel()
-        if m:
-            z = (col - Z[:, :m] @ Z[i_star, :m]) / b_m
-        else:
-            z = col / b_m
+        z = (col - Z[:, :m] @ Z[i_star, :m]) / b_m
         c_m = r[i_star] / b_m
         r -= c_m * z
         p2 -= z * z
@@ -174,7 +170,7 @@ def train_f_greedy(kernel: KernelSpec, data: HBDataset, cfg: GreedyConfig,
 
         if track_val:
             col_v = mixed2_field(kernel, Xv, X[j_star], a_star).ravel()
-            zv = (col_v - Zv[:, :m] @ Z[i_star, :m]) / b_m if m else col_v / b_m
+            zv = (col_v - Zv[:, :m] @ Z[i_star, :m]) / b_m
             rv -= c_m * zv
             Zv[:, m] = zv
 

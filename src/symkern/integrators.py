@@ -2,9 +2,8 @@
 
 The implicit midpoint rule (Newton on the analytic Hessian) serves as the
 high-fidelity micro reference and as the structure-preserving macro
-baseline; the explicit symplectic Euler step is available for separable
-systems.  Batched variants advance many initial states at once and run
-through the same update maps.
+baseline.  The batched variant advances many initial states at once and
+runs through the same update map.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotSeparable
+from .errors import NoConvergence
 from .systems import HamiltonianSystem, apply_j, jmat
 
 NEWTON_MAX_ITER = 30
@@ -51,8 +50,7 @@ def _midpoint_matrices(sys, dt: float):
     return eye - 0.5 * dt * A, eye + 0.5 * dt * A
 
 
-def implicit_midpoint_step(sys: HamiltonianSystem, x, dt: float,
-                           tol_factor: float = NEWTON_TOL_FACTOR):
+def implicit_midpoint_step(sys: HamiltonianSystem, x, dt: float):
     """One implicit midpoint step; returns (next state, solve report).
 
     Newton iteration on the analytic Hessian, with step-halving fallback
@@ -60,7 +58,7 @@ def implicit_midpoint_step(sys: HamiltonianSystem, x, dt: float,
     advanced by a single exact linear solve.
     """
     x = np.asarray(x, dtype=float)
-    tol = tol_factor * (1.0 + np.max(np.abs(x), initial=0.0))
+    tol = NEWTON_TOL_FACTOR * (1.0 + np.max(np.abs(x), initial=0.0))
     if sys.quadratic:
         L, R = _midpoint_matrices(sys, dt)
         x_new = np.linalg.solve(L, R @ x)
@@ -96,33 +94,14 @@ def implicit_midpoint_step(sys: HamiltonianSystem, x, dt: float,
     )
 
 
-def symplectic_euler_step(sys: HamiltonianSystem, x, dt: float):
-    """Explicit symplectic Euler update for separable H = T(p) + V(q)."""
-    if not sys.separable:
-        raise NotSeparable(f"{sys.name}: symplectic Euler step needs a separable Hamiltonian")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (sys.dim,):
-        raise DimensionMismatch(f"state shape {x.shape} != ({sys.dim},)")
-    n = sys.n
-    p_new = x[n:] - dt * sys.grad_potential(x[None, :n])[0]
-    q_new = x[:n] + dt * sys.grad_kinetic(p_new[None, :])[0]
-    return np.concatenate([q_new, p_new])
-
-
-def propagate(sys: HamiltonianSystem, x0, dt: float, steps: int,
-              method: str = "midpoint") -> Trajectory:
-    """Iterate a stepper and record every state."""
+def propagate(sys: HamiltonianSystem, x0, dt: float, steps: int) -> Trajectory:
+    """Iterate the implicit midpoint step and record every state."""
     x = np.asarray(x0, dtype=float)
     out = np.empty((steps + 1, x.size))
     out[0] = x
     for k in range(steps):
         try:
-            if method == "midpoint":
-                x, _ = implicit_midpoint_step(sys, x, dt)
-            elif method == "sympeuler":
-                x = symplectic_euler_step(sys, x, dt)
-            else:
-                raise ValueError(f"unknown method {method!r}")
+            x, _ = implicit_midpoint_step(sys, x, dt)
         except NoConvergence as exc:
             raise NoConvergence(f"step {k}: {exc}") from exc
         out[k + 1] = x

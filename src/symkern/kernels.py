@@ -26,6 +26,12 @@ FAMILIES = ("imq", "gaussian", "matern32", "matern52")
 # Squared-radius threshold for the coincident-point branch.
 COINCIDENT_R2 = 1e-14
 
+# Extended-precision scalar type for single-point evaluation of expansions
+# with large cancelling coefficients (float80 on x86; may equal float64 on
+# other platforms, in which case the noise-floor logic still governs).
+LONG = np.longdouble
+LONG_EPS = float(np.finfo(LONG).eps)
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -64,28 +70,30 @@ def profile(spec: KernelSpec, s):
 
 
 def profile_derivs(spec: KernelSpec, s):
-    """(h'(s), h''(s)) for array-like squared distances s.
+    """(h'(s), h''(s)) for array-like squared distances s, in the dtype of s.
 
-    Both share one exponential.  h'(0) < 0 is finite for all four families.
-    Entries of h'' with s below COINCIDENT_R2 are returned as 0: callers
-    must apply the coincident-point branch themselves, since for matern32
-    the true h'' diverges like 1/r there, but it only enters contracted
-    against (x-y)(x-y), which vanishes at the same rate.
+    float64 by default; a LONG array gives the extended-precision values of
+    the precise path.  Both share one exponential.  h'(0) < 0 is finite for
+    all four families.  Entries of h'' with s below COINCIDENT_R2 are
+    returned as 0: the true matern32 h'' diverges like 1/r there, but it
+    only enters contracted against (x-y)(x-y), which vanishes at the same
+    rate, and _derivative_terms applies the coincident-point limit.
     """
-    s = np.asarray(s, dtype=float)
-    e2 = spec.epsilon**2
+    s = np.asarray(s)
+    s = s if s.dtype == LONG else s.astype(float, copy=False)
+    eps = s.dtype.type(spec.epsilon)
+    e2 = eps**2
     if spec.family == "gaussian":
         ex = np.exp(-e2 * s)
         return -e2 * ex, e2**2 * ex
     if spec.family == "imq":
         u = 1.0 + e2 * s
         return -0.5 * e2 * u**-1.5, 0.75 * e2**2 * u**-2.5
-    t = spec.epsilon * np.sqrt(s)
+    t = eps * np.sqrt(s)
     ex = np.exp(-t)
     if spec.family == "matern52":
         return -(e2 / 6.0) * (1.0 + t) * ex, (e2**2 / 12.0) * ex
-    # matern32: h'' = eps^4 exp(-t) / (4 t) diverges at t = 0; entries under
-    # the threshold are reported as 0 and resolved by the caller's branch.
+    # matern32: h'' = eps^4 exp(-t) / (4 t) diverges at t = 0
     near = s < COINCIDENT_R2
     t_safe = np.where(near, 1.0, t)
     return -0.5 * e2 * ex, np.where(near, 0.0, e2**2 * ex / (4.0 * t_safe))
@@ -129,20 +137,29 @@ def kernel_mixed2(spec: KernelSpec, x, y, alpha: int, beta: int) -> float:
     x, y = _check_pair(x, y)
     if not (0 <= alpha < x.size) or not (0 <= beta < x.size):
         raise InvalidCoordinate(f"coordinates ({alpha}, {beta}) outside dimension {x.size}")
-    d = x - y
-    s = d @ d
-    if s < COINCIDENT_R2:
-        return -2.0 * profile_d1_zero(spec) if alpha == beta else 0.0
-    h1, h2 = profile_derivs(spec, s)
-    val = -4.0 * float(h2) * d[alpha] * d[beta]
-    if alpha == beta:
-        val += -2.0 * float(h1)
-    return val
+    return float(mixed2_field(spec, x[None, :], y, beta)[0, alpha])
 
 
 def mixed2_self(spec: KernelSpec) -> float:
     """Diagonal Gram value of any derivative functional: -2 h'(0)."""
     return -2.0 * profile_d1_zero(spec)
+
+
+def _derivative_terms(spec: KernelSpec, D):
+    """(W, H) = (-4 h''(s), -2 h'(s)) with s = |D|^2 over the last axis of D.
+
+    The mixed derivative of a difference row D_i is W_i D_ia D_ib + H_i
+    delta_ab.  Below COINCIDENT_R2 the analytic limit W = 0, H = -2 h'(0)
+    is taken.  s goes through the row reduction einsum("ij,ij->i") in the
+    dtype of D (float64 or LONG), so every caller rounds it alike.
+    """
+    rows = D.reshape(-1, D.shape[-1])
+    s = np.einsum("ij,ij->i", rows, rows).reshape(D.shape[:-1])
+    h1, h2 = profile_derivs(spec, s)
+    near = s < COINCIDENT_R2
+    W, H = -4.0 * h2, -2.0 * h1
+    W[near], H[near] = 0.0, -2.0 * profile_d1_zero(spec)
+    return W, H
 
 
 def mixed2_field(spec: KernelSpec, X, x, alpha: int):
@@ -154,16 +171,9 @@ def mixed2_field(spec: KernelSpec, X, x, alpha: int):
     X = np.asarray(X, dtype=float)
     x = np.asarray(x, dtype=float)
     D = X - x[None, :]
-    s = np.einsum("ij,ij->i", D, D)
-    near = s < COINCIDENT_R2
-    h1, h2 = profile_derivs(spec, s)
-    w = -4.0 * h2 * D[:, alpha]
-    w[near] = 0.0
-    F = w[:, None] * D
-    F[:, alpha] += -2.0 * h1
-    if np.any(near):
-        F[near, :] = 0.0
-        F[near, alpha] = -2.0 * profile_d1_zero(spec)
+    W, H = _derivative_terms(spec, D)
+    F = (W * D[:, alpha])[:, None] * D
+    F[:, alpha] += H
     return F
 
 
@@ -177,21 +187,18 @@ BLOCK_FLOATS = 2**15
 
 
 def _pair_blocks(spec: KernelSpec, X, centers):
-    """Yield (lo, D, near, h1, h2) for consecutive blocks of centers.
+    """Yield (lo, D, W, H) for consecutive blocks of centers.
 
-    D[k, i] = X[i] - centers[lo + k]; near, h1 and h2 are (block x M).
-    Each entry is equal bit for bit to the one-center form
-    D = X - centers[j]; s = einsum("ij,ij->i", D, D), because the squared
-    distances go through that same row reduction.
+    D[k, i] = X[i] - centers[lo + k]; W and H are the (block x M)
+    _derivative_terms of D.  Each entry is equal bit for bit to the
+    one-center form D = X - centers[j], because the squared distances go
+    through the same row reduction.
     """
     M, d = X.shape
     step = max(1, BLOCK_FLOATS // max(1, M * d))
     for lo in range(0, centers.shape[0], step):
         D = X[None, :, :] - centers[lo:lo + step, None, :]
-        rows = D.reshape(-1, d)
-        s = np.einsum("ij,ij->i", rows, rows).reshape(D.shape[:2])
-        h1, h2 = profile_derivs(spec, s)
-        yield lo, D, s < COINCIDENT_R2, h1, h2
+        yield (lo, D) + _derivative_terms(spec, D)
 
 
 def mixed2_pairs(spec: KernelSpec, X, coords, centers, alphas):
@@ -208,15 +215,11 @@ def mixed2_pairs(spec: KernelSpec, X, coords, centers, alphas):
     alphas = np.asarray(alphas, dtype=int)
     K = np.empty((centers.shape[0], X.shape[0]))
     points = np.arange(X.shape[0])
-    coincident = -2.0 * profile_d1_zero(spec)
-    for lo, D, near, h1, h2 in _pair_blocks(spec, X, centers):
+    for lo, D, W, H in _pair_blocks(spec, X, centers):
         hi = lo + D.shape[0]
         a = alphas[lo:hi]
-        same = coords[None, :] == a[:, None]
-        w = -4.0 * h2 * D[np.arange(a.size), :, a]
-        val = w * D[:, points, coords]
-        val = np.where(same, val + -2.0 * h1, val)
-        K[lo:hi] = np.where(near, np.where(same, coincident, 0.0), val)
+        val = W * D[np.arange(a.size), :, a] * D[:, points, coords]
+        K[lo:hi] = np.where(coords[None, :] == a[:, None], val + H, val)
     return K
 
 
@@ -244,45 +247,16 @@ def mixed2_accumulate(spec: KernelSpec, X, centers, alphas, coeffs):
     alphas = np.asarray(alphas, dtype=int)
     coeffs = np.asarray(coeffs, dtype=float)
     G = np.zeros_like(X)
-    h1_zero = profile_d1_zero(spec)
-    for lo, D, near, h1, h2 in _pair_blocks(spec, X, centers):
+    for lo, D, W, H in _pair_blocks(spec, X, centers):
         hi = lo + D.shape[0]
         a = alphas[lo:hi]
         c = coeffs[lo:hi, None]
-        w = (-4.0 * c) * h2 * D[np.arange(a.size), :, a]
-        w[near] = 0.0
-        T = w[:, :, None] * D
-        U = (-2.0 * c) * np.where(near, h1_zero, h1)
+        T = (c * W * D[np.arange(a.size), :, a])[:, :, None] * D
+        U = c * H
         for k, a_k in enumerate(a):
             G += T[k]
             G[:, a_k] += U[k]
     return G
-
-
-# Extended-precision scalar type for single-point evaluation of expansions
-# with large cancelling coefficients (float80 on x86; may equal float64 on
-# other platforms, in which case the noise-floor logic still governs).
-LONG = np.longdouble
-LONG_EPS = float(np.finfo(LONG).eps)
-
-
-def _profiles_long(spec: KernelSpec, s):
-    """(h'(s), h''(s)) evaluated in extended precision; s is a LONG array."""
-    e2 = LONG(spec.epsilon) ** 2
-    if spec.family == "gaussian":
-        ex = np.exp(-e2 * s)
-        return -e2 * ex, e2 * e2 * ex
-    if spec.family == "imq":
-        u = 1.0 + e2 * s
-        return -0.5 * e2 * u**-1.5, 0.75 * e2 * e2 * u**-2.5
-    t = LONG(spec.epsilon) * np.sqrt(s)
-    ex = np.exp(-t)
-    if spec.family == "matern52":
-        return -(e2 / 6.0) * (1.0 + t) * ex, (e2 * e2 / 12.0) * ex
-    near = s < COINCIDENT_R2
-    t_safe = np.where(near, LONG(1.0), t)
-    h2 = np.where(near, LONG(0.0), e2 * e2 * ex / (4.0 * t_safe))
-    return -0.5 * e2 * ex, h2
 
 
 def coord_index(alphas, dim: int):
@@ -304,16 +278,10 @@ def mixed2_accumulate_precise(spec: KernelSpec, x, centers, alphas, coeffs, inde
     """
     rows, masks = coord_index(alphas, x.size) if index is None else index
     D = np.asarray(x, dtype=LONG)[None, :] - np.asarray(centers, dtype=LONG)
-    s = np.einsum("ij,ij->i", D, D)
-    near = s < COINCIDENT_R2
-    h1, h2 = _profiles_long(spec, s)
+    W, H = _derivative_terms(spec, D)
     c = np.asarray(coeffs, dtype=LONG)
-    dc = D[rows, alphas]
-    w = -4.0 * h2 * dc * c
-    w[near] = 0.0
-    g = D.T @ w
-    h1 = np.where(near, LONG(profile_d1_zero(spec)), h1)
-    diag_terms = -2.0 * c * h1
+    g = D.T @ (W * D[rows, alphas] * c)
+    diag_terms = c * H
     for b, mask in enumerate(masks):
         g[b] += np.sum(diag_terms[mask])
     return g.astype(float)

@@ -62,6 +62,19 @@ class PredictorModel:
         return float(LONG_EPS * np.sum(np.abs(s.coeffs)) * scale)
 
 
+def _momentum_jacobian(s: Surrogate, q0, p, h: float):
+    """Central-difference Jacobian of P -> ds/dq (q0, P) at P = p."""
+    n = p.size
+    M = np.empty((n, n))
+    for j in range(n):
+        dp = np.zeros(n)
+        dp[j] = h
+        gp = s.gradient_precise(np.concatenate([q0, p + dp]))[:n]
+        gm = s.gradient_precise(np.concatenate([q0, p - dp]))[:n]
+        M[:, j] = (gp - gm) / (2 * h)
+    return M
+
+
 def _solve_momentum(model: PredictorModel, q0, p0, p_start, tol):
     """Fixed-point iteration on the momentum block, Newton on stall.
 
@@ -71,16 +84,16 @@ def _solve_momentum(model: PredictorModel, q0, p0, p_start, tol):
     """
     s, dt, n = model.surrogate, model.delta_t, model.n
     tol_eff = max(tol, dt * model.gradient_noise_floor)
+
+    def evaluate(P_):
+        """(gradient at (q0, P_), residual vector, its max norm)."""
+        g_ = s.gradient_precise(np.concatenate([q0, P_]))
+        F_ = p0 - dt * g_[:n] - P_
+        return g_, F_, float(np.max(np.abs(F_)))
+
     P = p_start.copy()
-    evals = 0
-
-    def grad_at(P_):
-        return s.gradient_precise(np.concatenate([q0, P_]))
-
-    g = grad_at(P)
-    evals += 1
-    F = p0 - dt * g[:n] - P
-    res = float(np.max(np.abs(F)))
+    g, F, res = evaluate(P)
+    evals = 1
     best = (res, P.copy(), g)
     prev = np.inf
     for _ in range(FIXED_POINT_MAX):
@@ -90,31 +103,18 @@ def _solve_momentum(model: PredictorModel, q0, p0, p_start, tol):
             break
         prev = res
         P = P + F
-        g = grad_at(P)
+        g, F, res = evaluate(P)
         evals += 1
-        F = p0 - dt * g[:n] - P
-        res = float(np.max(np.abs(F)))
         if res < best[0]:
             best = (res, P.copy(), g)
     # Newton on the momentum block with a finite-difference Jacobian
-    h = 1e-7
     for _ in range(NEWTON_MAX):
         if res <= tol_eff:
             return P, g, evals, res
-        M = np.empty((n, n))
-        for j in range(n):
-            dp = np.zeros(n)
-            dp[j] = h
-            gp = grad_at(P + dp)[:n]
-            gm = grad_at(P - dp)[:n]
-            evals += 2
-            M[:, j] = (gp - gm) / (2 * h)
-        JF = -dt * M - np.eye(n)
+        JF = -dt * _momentum_jacobian(s, q0, P, 1e-7) - np.eye(n)
         P = P - np.linalg.solve(JF, F)
-        g = grad_at(P)
-        evals += 1
-        F = p0 - dt * g[:n] - P
-        res = float(np.max(np.abs(F)))
+        g, F, res = evaluate(P)
+        evals += 2 * n + 1          # the Jacobian's 2n evaluations and this one
         if res < best[0]:
             best = (res, P.copy(), g)
     if best[0] <= tol_eff:
@@ -194,17 +194,9 @@ def contraction_margin(model: PredictorModel, region_sample) -> float:
     if model.surrogate.size == 0:
         return 0.0
     n = model.n
-    h = 1e-6
     worst = 0.0
     for x in sample:
-        q0, p = x[:n], x[n:]
-        M = np.empty((n, n))
-        for j in range(n):
-            dp = np.zeros(n)
-            dp[j] = h
-            gp = model.surrogate.gradient_precise(np.concatenate([q0, p + dp]))[:n]
-            gm = model.surrogate.gradient_precise(np.concatenate([q0, p - dp]))[:n]
-            M[:, j] = (gp - gm) / (2 * h)
+        M = _momentum_jacobian(model.surrogate, x[:n], x[n:], 1e-6)
         w, _ = sym_eigen(M.T @ M)
         worst = max(worst, float(np.sqrt(max(w[0], 0.0))))
     return model.delta_t * worst

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, DuplicateFunctional, EmptyDataset
+from .errors import DimensionMismatch, DuplicateFunctional, EmptyDataset, InvalidModel
 from .kernels import (
     LONG,
     KernelSpec,
@@ -86,9 +86,6 @@ class Surrogate:
     def size(self) -> int:
         return int(self.coeffs.size)
 
-    def functionals(self):
-        return [DerivFunctional(c, int(a)) for c, a in zip(self.centers, self.coords)]
-
     def _check_point(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
@@ -103,11 +100,7 @@ class Surrogate:
                                       self.coeffs)[0])
 
     def gradient(self, x):
-        x = self._check_point(x)
-        if self.size == 0:
-            return np.zeros(self.dim)
-        return mixed2_accumulate(self.kernel, x[None, :], self.centers, self.coords,
-                                 self.coeffs)[0]
+        return self.gradient_many(self._check_point(x)[None, :])[0]
 
     def gradient_precise(self, x):
         """Gradient with extended-precision accumulation.
@@ -128,12 +121,6 @@ class Surrogate:
         built once for the many gradient_precise calls of a rollout."""
         return (self.centers.astype(LONG), self.coeffs.astype(LONG),
                 coord_index(self.coords, self.dim))
-
-    def value_many(self, X):
-        X = np.asarray(X, dtype=float)
-        if self.size == 0:
-            return np.zeros(X.shape[0])
-        return grad2_accumulate(self.kernel, X, self.centers, self.coords, self.coeffs)
 
     def gradient_many(self, X):
         """Gradients at the rows of X, returned as an (M x dim) array."""
@@ -254,19 +241,38 @@ def surrogate_to_dict(s: Surrogate, delta_t: float) -> dict:
     }
 
 
-def surrogate_from_dict(doc: dict):
-    """Inverse of surrogate_to_dict; returns (surrogate, delta_t)."""
-    if doc.get("version") != SERIAL_VERSION:
-        raise ValueError(f"unsupported model version {doc.get('version')!r}")
-    kernel = KernelSpec.from_dict(doc["kernel"])
-    dim = int(doc["dim"])
-    funcs = doc["functionals"]
-    if funcs:
+def surrogate_from_dict(doc) -> tuple[Surrogate, float]:
+    """Inverse of surrogate_to_dict; returns (surrogate, delta_t).
+
+    Model files come from outside the program, so the document is checked
+    in full: whatever surrogate_to_dict could not have written raises
+    InvalidModel.
+    """
+    keys = ("version", "kernel", "dim", "delta_T", "functionals", "coeffs")
+    if not isinstance(doc, dict) or any(k not in doc for k in keys):
+        raise InvalidModel(f"a model is a JSON object with the keys {', '.join(keys)}")
+    if doc["version"] != SERIAL_VERSION:
+        raise InvalidModel(f"unsupported model version {doc['version']!r}")
+    dim, funcs = doc["dim"], doc["functionals"]
+    if type(dim) is not int or dim < 1:
+        raise InvalidModel(f"dim must be a positive integer, got {dim!r}")
+    try:
+        kernel = KernelSpec.from_dict(doc["kernel"])
+        delta_t = float(doc["delta_T"])
         centers = np.array([f["center"] for f in funcs], dtype=float)
-        coords = np.array([f["coord"] for f in funcs], dtype=int)
-    else:
-        centers = np.zeros((0, dim))
-        coords = np.zeros(0, dtype=int)
-    coeffs = np.asarray(doc["coeffs"], dtype=float)
-    s = Surrogate(kernel, centers, coords, coeffs, dim)
-    return s, float(doc["delta_T"])
+        coords = [f["coord"] for f in funcs]
+        coeffs = np.array(doc["coeffs"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidModel(f"malformed model entry: {type(exc).__name__}: {exc}") from None
+    if funcs and centers.shape != (len(funcs), dim):
+        raise InvalidModel(f"every center must be a list of dim={dim} numbers")
+    if not all(type(a) is int and 0 <= a < dim for a in coords):
+        raise InvalidModel(f"every coord must be an integer in [0, {dim})")
+    if coeffs.shape != (len(funcs),):
+        raise InvalidModel(f"{coeffs.size} coefficient(s) for {len(funcs)} functional(s)")
+    if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(coeffs))):
+        raise InvalidModel("centers and coefficients must be finite")
+    if not (delta_t > 0 and np.isfinite(delta_t)):
+        raise InvalidModel(f"delta_T must be positive and finite, got {delta_t}")
+    coords = np.array(coords, dtype=int)
+    return Surrogate(kernel, centers.reshape(len(funcs), dim), coords, coeffs, dim), delta_t

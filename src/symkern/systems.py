@@ -35,17 +35,11 @@ def apply_jt(X):
     return np.concatenate([-X[..., n:], X[..., :n]], axis=-1)
 
 
-def split_state(x, n: int):
-    x = np.asarray(x, dtype=float)
-    return x[..., :n], x[..., n:]
-
-
 class HamiltonianSystem:
     """Common interface; subclasses fill in the batched evaluations."""
 
     name = "generic"
     n = 0                      # degrees of freedom
-    separable = True           # H(q, p) = T(p) + V(q)
     quadratic = False
     constant_hessian = False
 
@@ -76,15 +70,6 @@ class HamiltonianSystem:
         raise NotImplementedError
 
     def hess_many(self, X):
-        raise NotImplementedError
-
-    # separable split used by the explicit symplectic Euler step
-    def grad_potential(self, Q):
-        """dV/dq for a batch of position blocks (M, n)."""
-        raise NotImplementedError
-
-    def grad_kinetic(self, P):
-        """dT/dp for a batch of momentum blocks (M, n)."""
         raise NotImplementedError
 
 
@@ -118,12 +103,6 @@ class Pendulum(HamiltonianSystem):
         H[:, 0, 0] = self._mgl * np.cos(X[:, 0])
         H[:, 1, 1] = 1.0 / self._ml2
         return H
-
-    def grad_potential(self, Q):
-        return self._mgl * np.sin(Q)
-
-    def grad_kinetic(self, P):
-        return P / self._ml2
 
     def hess_sup_norm(self) -> float:
         """Analytic sup of the Hessian spectral norm (|cos| <= 1)."""
@@ -181,13 +160,6 @@ class Chain(HamiltonianSystem):
         H[:, self.n:, self.n:] = np.eye(self.n)
         return H
 
-    def grad_potential(self, Q):
-        d = Q @ self.B.T
-        return (self.alpha * d + self.beta * d**3) @ self.B
-
-    def grad_kinetic(self, P):
-        return P
-
     def elongation_sup(self, q_lo, q_hi) -> float:
         """sup over the box [q_lo, q_hi] of the max spring elongation."""
         amax = np.maximum(np.abs(np.asarray(q_lo, dtype=float)),
@@ -215,8 +187,6 @@ class Quadratic(HamiltonianSystem):
             raise ValueError("quadratic form matrix must be symmetric")
         self.hmat = 0.5 * (H + H.T)
         self.n = H.shape[0] // 2
-        n = self.n
-        self.separable = bool(np.all(self.hmat[:n, n:] == 0.0))
 
     def energy_many(self, X):
         X = self._check(X)
@@ -229,12 +199,6 @@ class Quadratic(HamiltonianSystem):
     def hess_many(self, X):
         X = self._check(X)
         return np.broadcast_to(self.hmat, (X.shape[0],) + self.hmat.shape).copy()
-
-    def grad_potential(self, Q):
-        return Q @ self.hmat[: self.n, : self.n]
-
-    def grad_kinetic(self, P):
-        return P @ self.hmat[self.n:, self.n:]
 
 
 def wave_laplacian(n_grid: int, length: float = 1.0):

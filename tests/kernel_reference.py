@@ -96,7 +96,7 @@ def mixed2_accumulate(spec, X, centers, alphas, coeffs):
     return G
 
 
-def _profiles_long(spec, s):
+def _long_profiles(spec, s):
     e2 = LONG(spec.epsilon) ** 2
     if spec.family == "gaussian":
         ex = np.exp(-e2 * s)
@@ -119,7 +119,7 @@ def mixed2_accumulate_precise(spec, x, centers, alphas, coeffs):
     D = np.asarray(x, dtype=LONG)[None, :] - np.asarray(centers, dtype=LONG)
     s = np.einsum("ij,ij->i", D, D)
     near = s < COINCIDENT_R2
-    h1, h2 = _profiles_long(spec, s)
+    h1, h2 = _long_profiles(spec, s)
     c = np.asarray(coeffs, dtype=LONG)
     dc = D[np.arange(len(alphas)), alphas]
     w = -4.0 * h2 * dc * c

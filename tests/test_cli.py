@@ -28,7 +28,7 @@ def mini_run(tmp_path_factory):
 
 
 def test_train_subcommand_artifacts(mini_run, tmp_path):
-    cfg_path, _ = mini_run
+    cfg_path, exp_out = mini_run
     out = tmp_path / "train"
     assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
     for name in ("selection_table.csv", "model_dt0.2.json", "model_dt0.1.json",
@@ -37,6 +37,31 @@ def test_train_subcommand_artifacts(mini_run, tmp_path):
     doc = json.loads((out / "model_dt0.1.json").read_text())
     assert doc["version"] == 1 and doc["delta_T"] == 0.1
     assert len(doc["coeffs"]) == len(doc["functionals"]) <= 60
+    manifest = json.loads((out / "MANIFEST.json").read_text())
+    assert manifest["status"] == "complete"
+    assert not (out / "rel_error.csv").exists()
+    # the same training stages as the experiment, so the same bytes
+    for name in ("selection_table.csv", "model_dt0.1.json", "greedy_trace_dt0.2.csv"):
+        assert (out / name).read_bytes() == (exp_out / name).read_bytes(), name
+
+
+def test_train_failure_leaves_manifest(tmp_path, capsys, monkeypatch):
+    import symkern.experiment as experiment_mod
+    from symkern.errors import NoConvergence
+
+    def fail(*args, **kwargs):
+        raise NoConvergence("forced")
+
+    monkeypatch.setattr(experiment_mod, "train_f_greedy", fail)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(MINI))
+    out = tmp_path / "train"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: AllCandidatesFailed: ")
+    manifest = json.loads((out / "MANIFEST.json").read_text())
+    assert manifest["status"] == "failed"
+    assert [s.split(":")[0] for s in manifest["stages"]] == ["system", "sampled"]
 
 
 def test_experiment_artifacts(mini_run):
@@ -146,6 +171,54 @@ def test_predict_bad_input_exit_code(mini_run, tmp_path, capsys, x0, steps, mess
     assert rc == 2
     assert capsys.readouterr().err == message
     assert not (tmp_path / "rollout.csv").exists()
+
+
+MODEL = {
+    "version": 1, "kernel": {"family": "gaussian", "epsilon": 1.0}, "dim": 2,
+    "delta_T": 0.1,
+    "functionals": [{"center": [0.1, 0.2], "coord": 0}, {"center": [-0.3, 0.4], "coord": 1}],
+    "coeffs": [0.5, -0.25],
+}
+
+
+def _model_text(**over):
+    doc = json.loads(json.dumps(MODEL))
+    doc.update(over)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text", [
+    _model_text(coeffs=[0.5]),
+    _model_text(functionals=[{"center": [0.1], "coord": 0}, {"center": [0.3], "coord": 0}]),
+    _model_text(functionals=[{"center": [0.1, 0.2], "coord": 5}, MODEL["functionals"][1]]),
+    json.dumps({k: v for k, v in MODEL.items() if k != "kernel"}),
+    _model_text(delta_T=-1),
+    json.dumps([MODEL]),
+    _model_text()[:-2],
+    _model_text(coeffs=[float("nan"), 0.5]),
+    _model_text(dim=3, functionals=[{"center": [0.1, 0.2, 0.3], "coord": 0}], coeffs=[1.0]),
+    _model_text(kernel="gaussian"),
+], ids=["one-coeff-two-functionals", "short-centers", "coord-out-of-range", "no-kernel",
+        "negative-delta-T", "top-level-list", "malformed-json", "nan-coeff", "odd-dim",
+        "kernel-not-object"])
+def test_predict_bad_model_exit_code(tmp_path, capsys, text):
+    model = tmp_path / "model.json"
+    model.write_text(text)
+    rc = main(["predict", "--model", str(model), "--x0", "0.1,0.2", "--steps", "2",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("model error: ") and err.count("\n") == 1
+    assert not (tmp_path / "rollout.csv").exists()
+
+
+def test_check_bounds_bad_model_exit_code(mini_run, tmp_path, capsys):
+    cfg_path, _ = mini_run
+    model = tmp_path / "model.json"
+    model.write_text(_model_text(coeffs=[0.5]))
+    rc = main(["check-bounds", "--config", str(cfg_path), "--model", str(model)])
+    assert rc == 2
+    assert capsys.readouterr().err == "model error: 1 coefficient(s) for 2 functional(s)\n"
 
 
 def test_runtime_error_exit_code(tmp_path):

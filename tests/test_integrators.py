@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from symkern.integrators import (
-    implicit_midpoint_step,
-    midpoint_many,
-    propagate,
-    symplectic_euler_step,
-)
+from symkern.integrators import implicit_midpoint_step, midpoint_many, propagate
 from symkern.metrics import relative_error
 from symkern.systems import Chain, Pendulum, Quadratic, jmat
 
@@ -69,15 +64,6 @@ def test_midpoint_energy_drift_long():
         assert worst <= cap
 
 
-def test_sympeuler_equilibrium():
-    assert np.allclose(symplectic_euler_step(Pendulum(), np.zeros(2), 0.1), 0.0)
-
-
-def test_sympeuler_harmonic_hand_update():
-    x = symplectic_euler_step(HARMONIC, np.array([1.0, 0.0]), 0.1)
-    assert np.allclose(x, [0.99, -0.1], atol=1e-15)
-
-
 @pytest.mark.parametrize("sys_", [Pendulum(), Chain(), HARMONIC],
                          ids=lambda s: s.name)
 def test_stepper_symplecticity(sys_):
@@ -85,12 +71,8 @@ def test_stepper_symplecticity(sys_):
     J = jmat(sys_.n)
     for _ in range(10):
         x = rng.uniform(-0.5, 0.5, sys_.dim)
-        for step in (
-            lambda z: implicit_midpoint_step(sys_, z, 0.05)[0],
-            lambda z: symplectic_euler_step(sys_, z, 0.05),
-        ):
-            D = fd_jacobian(step, x)
-            assert np.max(np.abs(D.T @ J @ D - J)) <= 1e-5
+        D = fd_jacobian(lambda z: implicit_midpoint_step(sys_, z, 0.05)[0], x)
+        assert np.max(np.abs(D.T @ J @ D - J)) <= 1e-5
 
 
 def test_propagate_zero_steps():

@@ -3,6 +3,7 @@ import pytest
 
 from symkern.data import build_hb_dataset
 from symkern.greedy import GreedyConfig, train_f_greedy
+from symkern import predictor
 from symkern.kernels import KernelSpec
 from symkern.predictor import (
     PredictorModel,
@@ -121,3 +122,73 @@ def test_contraction_margin_trained_model():
     model, data, _ = harmonic_model(m=40)
     sample = data.inputs[::20]
     assert contraction_margin(model, sample) < 1.0
+
+
+def steep_model(seed):
+    """1-3 gaussian centers in the plane with coefficients of order 10 and a
+    macro step in [0.16, 1.4]: steep enough that the fixed-point sweep
+    stalls on many seeds."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 4))
+    eps = float(rng.choice([0.5, 1.0, 2.0]))
+    centers = rng.uniform(-1, 1, (m, 2))
+    coords = rng.integers(0, 2, m)
+    coeffs = rng.standard_normal(m) * 10
+    dt = float(rng.uniform(0.16, 1.4))
+    x0 = rng.uniform(-1, 1, 2)
+    surr = Surrogate(KernelSpec("gaussian", eps), centers, coords, coeffs, 2)
+    return PredictorModel(surr, dt), x0
+
+
+@pytest.fixture
+def solver_spies(monkeypatch):
+    """Record the start of every momentum solve and count linear solves
+    (only the Newton fallback solves a linear system)."""
+    seen = {"starts": [], "linear_solves": 0}
+    solve_momentum, linalg_solve = predictor._solve_momentum, np.linalg.solve
+
+    def spy_momentum(model, q0, p0, p_start, tol):
+        seen["starts"].append(p_start.copy())
+        return solve_momentum(model, q0, p0, p_start, tol)
+
+    def spy_solve(*args, **kwargs):
+        seen["linear_solves"] += 1
+        return linalg_solve(*args, **kwargs)
+
+    monkeypatch.setattr(predictor, "_solve_momentum", spy_momentum)
+    monkeypatch.setattr(np.linalg, "solve", spy_solve)
+    return seen
+
+
+def assert_solves_update(model, x0, x1):
+    """P = p0 - dT ds/dq(q0, P) within the solve's effective tolerance, and
+    Q = q0 + dT ds/dp(q0, P)."""
+    n, dt = model.n, model.delta_t
+    q0, p0, P = x0[:n], x0[n:], x1[n:]
+    tol = model.tol_factor * (1.0 + np.max(np.abs(p0)))
+    tol_eff = max(tol, dt * model.gradient_noise_floor)
+    g = model.surrogate.gradient_precise(np.concatenate([q0, P]))
+    assert np.max(np.abs(P - (p0 - dt * g[:n]))) <= tol_eff
+    assert np.array_equal(x1[:n], q0 + dt * g[n:])
+
+
+def test_newton_fallback_converges(solver_spies):
+    model, x0 = steep_model(0)
+    x1, report = predict_step(model, x0)
+    assert len(solver_spies["starts"]) == 1             # no restart
+    assert solver_spies["linear_solves"] >= 1            # Newton was entered
+    assert report.converged
+    assert_solves_update(model, x0, x1)
+
+
+def test_restart_from_explicit_guess(solver_spies):
+    model, x0 = steep_model(47)
+    x1, report = predict_step(model, x0)
+    n = model.n
+    first, second = solver_spies["starts"]
+    assert np.array_equal(first, x0[n:])
+    g0 = model.surrogate.gradient_precise(x0)
+    assert np.array_equal(second, x0[n:] - model.delta_t * g0[:n])
+    assert solver_spies["linear_solves"] >= 1
+    assert report.converged
+    assert_solves_update(model, x0, x1)
