@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 
 from .errors import ConfigError
-from .kernels import FAMILIES
+from .kernels import FAMILIES, KernelSpec
 
 EXPERIMENTS = ("pendulum", "chain", "wave")
 SCALES = ("desk", "paper")
@@ -135,6 +136,25 @@ def _check_types(cfg: dict, schema: dict, path: str = ""):
                 raise ConfigError(f"{name}: expected {' or '.join(accepts)}, got {_kind(v)}")
 
 
+def _check_system_and_sampling(cfg: dict):
+    """The system parameters and sample sizes the samplers divide by or
+    reduce over."""
+    system, sampling = cfg["system"], cfg["sampling"]
+    if cfg["experiment"] == "pendulum":
+        for key in ("mass", "length", "gravity"):
+            if not (system[key] > 0 and math.isfinite(system[key])):
+                raise ConfigError(f"system.{key} must be positive and finite, got {system[key]}")
+        counts = sampling["grid_counts"]
+        if len(counts) != 2 or min(counts) < 1:
+            raise ConfigError("sampling.grid_counts must hold one positive count for each of "
+                              f"the 2 state coordinates, got {counts}")
+        return
+    if cfg["experiment"] == "chain" and system["n"] < 1:
+        raise ConfigError(f"system.n must be >= 1, got {system['n']}")
+    if sampling["target_count"] < 1:
+        raise ConfigError(f"sampling.target_count must be >= 1, got {sampling['target_count']}")
+
+
 def validate(cfg: dict) -> dict:
     """Type and cross-field checks; returns cfg on success."""
     if cfg["experiment"] not in EXPERIMENTS:
@@ -155,12 +175,15 @@ def validate(cfg: dict) -> dict:
         steps = round(horizon / dt)
         if steps < 1 or abs(steps * dt - horizon) > 1e-9 * max(1.0, horizon):
             raise ConfigError(f"horizon {horizon} is not a multiple of delta_t={dt}")
-    for eps in cfg["selection"]["epsilons"]:
-        if not eps > 0:
-            raise ConfigError(f"shape parameters must be positive, got {eps}")
     for fam in cfg["selection"]["families"]:
-        if fam not in FAMILIES:
-            raise ConfigError(f"unknown kernel family {fam!r}")
+        for eps in cfg["selection"]["epsilons"]:
+            try:
+                KernelSpec(fam, float(eps))
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(f"selection: {exc}") from None
+    _check_system_and_sampling(cfg)
+    if cfg["test"]["count"] < 1:
+        raise ConfigError("test.count must be >= 1")
     if not 0.0 < cfg["validation_fraction"] < 1.0:
         raise ConfigError("validation_fraction must lie in (0, 1)")
     if cfg["greedy"]["max_centers"] < 1:

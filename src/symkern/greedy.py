@@ -15,7 +15,10 @@ import numpy as np
 from .errors import EmptyDataset, InsufficientTrace
 from .kernels import KernelSpec, mixed2_field, mixed2_self
 from .linalg import _tri_solve_upper
-from .surrogate import DerivFunctional, HBDataset, Surrogate, fit, rkhs_norm
+from .surrogate import HBDataset, Surrogate, TargetErrorNorm
+# The from-scratch forms of TargetErrorNorm, kept importable under these
+# names because perfbench/tracing.py wraps them here.
+from .surrogate import fit, rkhs_norm  # noqa: F401
 
 # Selection stops once the power value of the best candidate drops below
 # this; the Newton-basis extension divides by it.
@@ -82,26 +85,6 @@ class GreedyTrace:
         return out
 
 
-def _synthetic_error_norm(kernel, target, sel_centers, sel_coords, sel_targets):
-    """||u - s_m|| computed independently of the incremental updates.
-
-    Refits the selected functionals from scratch and measures the norm of
-    the difference expansion through the cross-Gram quadratic form.
-    """
-    if len(sel_coords) == 0:
-        return rkhs_norm(kernel, target)
-    funcs = [DerivFunctional(c, int(a)) for c, a in zip(sel_centers, sel_coords)]
-    s_m = fit(kernel, funcs, np.asarray(sel_targets))
-    diff = Surrogate(
-        kernel,
-        np.vstack([target.centers, s_m.centers]),
-        np.concatenate([target.coords, s_m.coords]),
-        np.concatenate([target.coeffs, -s_m.coeffs]),
-        target.dim,
-    )
-    return rkhs_norm(kernel, diff)
-
-
 def train_f_greedy(kernel: KernelSpec, data: HBDataset, cfg: GreedyConfig,
                    validation: HBDataset | None = None,
                    synthetic_target: Surrogate | None = None):
@@ -119,12 +102,13 @@ def train_f_greedy(kernel: KernelSpec, data: HBDataset, cfg: GreedyConfig,
         raise EmptyDataset("training dataset is empty")
     X = data.inputs
     d = data.dim
-    if synthetic_target is not None:
-        Y = synthetic_target.gradient_many(X)
-    else:
-        Y = data.targets
     n_cand = X.shape[0] * d
     max_m = min(cfg.max_centers, n_cand)
+    if synthetic_target is not None:
+        Y = synthetic_target.gradient_many(X)
+        error_norm = TargetErrorNorm(kernel, synthetic_target, max_m)
+    else:
+        Y = data.targets
 
     y_flat = Y.ravel()
     r = y_flat.copy()
@@ -151,9 +135,7 @@ def train_f_greedy(kernel: KernelSpec, data: HBDataset, cfg: GreedyConfig,
             break
         if synthetic_target is not None:
             sel = np.asarray(selected, dtype=int)
-            e_m = _synthetic_error_norm(kernel, synthetic_target, X[sel // d],
-                                        sel % d, y_flat[sel])
-            trace.rkhs_error.append(float(e_m))
+            trace.rkhs_error.append(error_norm(X[sel // d], sel % d, y_flat[sel]))
 
         trace.max_residual.append(a_m)
         trace.power_value.append(b_m)

@@ -43,8 +43,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}; expected one of {FAMILIES}")
-        if not (self.epsilon > 0.0 and np.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        # every profile squares epsilon
+        if not (self.epsilon > 0.0 and np.isfinite(self.epsilon * self.epsilon)):
+            raise ValueError(f"epsilon must be positive with a finite square, got {self.epsilon}")
 
     def to_dict(self):
         return {"family": self.family, "epsilon": float(self.epsilon)}
@@ -186,6 +187,11 @@ def mixed2_field(spec: KernelSpec, X, x, alpha: int):
 BLOCK_FLOATS = 2**15
 
 
+def block_centers(points: int, dim: int) -> int:
+    """Centers per block against `points` points in `dim` dimensions."""
+    return max(1, BLOCK_FLOATS // max(1, points * dim))
+
+
 def _pair_blocks(spec: KernelSpec, X, centers):
     """Yield (lo, D, W, H) for consecutive blocks of centers.
 
@@ -194,8 +200,7 @@ def _pair_blocks(spec: KernelSpec, X, centers):
     one-center form D = X - centers[j], because the squared distances go
     through the same row reduction.
     """
-    M, d = X.shape
-    step = max(1, BLOCK_FLOATS // max(1, M * d))
+    step = block_centers(*X.shape)
     for lo in range(0, centers.shape[0], step):
         D = X[None, :, :] - centers[lo:lo + step, None, :]
         yield (lo, D) + _derivative_terms(spec, D)

@@ -17,6 +17,7 @@ from .errors import DimensionMismatch, DuplicateFunctional, EmptyDataset, Invali
 from .kernels import (
     LONG,
     KernelSpec,
+    block_centers,
     coord_index,
     grad2_accumulate,
     mixed2_accumulate,
@@ -165,11 +166,17 @@ class HBDataset:
 def gram_matrix(kernel: KernelSpec, functionals):
     """Generalized Gram matrix G[i, j] = d1_{a_i} d2_{a_j} k(x_i, x_j).
 
-    The upper triangle is computed and mirrored, so G is symmetric to the
-    bit.
+    Only the blocks of rows on or above the diagonal are evaluated, and the
+    upper triangle is mirrored, so G is symmetric to the bit.
     """
     centers, coords = _functional_arrays(functionals)
-    G = mixed2_pairs(kernel, centers, coords, centers, coords)
+    m = coords.size
+    G = np.zeros((m, m))
+    step = block_centers(*centers.shape)
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        G[lo:hi, lo:] = mixed2_pairs(kernel, centers[lo:], coords[lo:],
+                                     centers[lo:hi], coords[lo:hi])
     return np.triu(G) + np.triu(G, 1).T
 
 
@@ -216,14 +223,72 @@ def rkhs_inner(kernel: KernelSpec, sa: Surrogate, sb: Surrogate) -> float:
     if sa.size == 0 or sb.size == 0:
         return 0.0
     K = mixed2_pairs(kernel, sa.centers, sa.coords, sb.centers, sb.coords)
+    return _quadratic_form(sa.coeffs, K, sb.coeffs)
+
+
+def _quadratic_form(a, K, b) -> float:
+    """sum_j (a . K[j]) b[j]: one dot product per center of b, summed in
+    center order.  Both callers pass a C-contiguous K, so each row product
+    sees the same memory layout and rounds alike."""
     total = 0.0
-    for j in range(sb.size):
-        total += float(sa.coeffs @ K[j]) * sb.coeffs[j]
+    for j in range(b.size):
+        total += float(a @ K[j]) * b[j]
     return total
 
 
 def rkhs_norm(kernel: KernelSpec, s: Surrogate) -> float:
     return float(np.sqrt(max(rkhs_inner(kernel, s, s), 0.0)))
+
+
+class TargetErrorNorm:
+    """||u - s_m|| for a target expansion u and the minimum-norm
+    interpolant s_m of u's data at a growing selection of functionals.
+
+    Keeps the pair matrix C of u's functionals followed by the selected
+    ones, with C[j, i] the entry mixed2_pairs gives for point i and center
+    j, and grows it by one row and one column per selected functional:
+    O(m) kernel pairs per call instead of the O(m^2) of a fresh
+    rkhs_norm(kernel, u - fit(...)).  Both orientations are kept, because
+    C[j, i] and C[i, j] round their product in a different order when the
+    two coordinates differ.  s_m is refitted from scratch on the mirrored
+    upper triangle of the selected block, as fit does, and the norm is the
+    quadratic form of rkhs_inner, so every value equals the from-scratch
+    one bit for bit.
+    """
+
+    def __init__(self, kernel: KernelSpec, target: Surrogate, capacity: int):
+        size = target.size + capacity
+        self.kernel, self.coeffs = kernel, target.coeffs
+        self.n0 = self.n = target.size
+        self.centers = np.empty((size, target.dim))
+        self.coords = np.empty(size, dtype=int)
+        self.pairs = np.empty((size, size))
+        self.centers[:self.n0], self.coords[:self.n0] = target.centers, target.coords
+        self.pairs[:self.n0, :self.n0] = mixed2_pairs(kernel, target.centers, target.coords,
+                                                      target.centers, target.coords)
+
+    def _append(self, center, coord):
+        k, X, a, C = self.n, self.centers, self.coords, self.pairs
+        X[k], a[k] = center, coord
+        C[k, :k + 1] = mixed2_pairs(self.kernel, X[:k + 1], a[:k + 1], X[k:k + 1], a[k:k + 1])[0]
+        C[:k, k] = mixed2_pairs(self.kernel, X[k:k + 1], a[k:k + 1], X[:k], a[:k])[:, 0]
+        self.n = k + 1
+
+    def __call__(self, centers, coords, targets) -> float:
+        """The error for the selection (centers, coords) with data targets.
+
+        Each call's selection extends the previous call's; only the new
+        functionals are evaluated against the stored ones.
+        """
+        for center, coord in zip(centers[self.n - self.n0:], coords[self.n - self.n0:]):
+            self._append(center, coord)
+        n0, n, coeffs = self.n0, self.n, self.coeffs
+        if n > n0:
+            S = self.pairs[n0:n, n0:n]
+            G = np.triu(S) + np.triu(S, 1).T
+            coeffs = np.concatenate([coeffs, -cholesky_solve(G, targets)])
+        total = _quadratic_form(coeffs, self.pairs[:n, :n].copy(), coeffs)
+        return float(np.sqrt(max(total, 0.0)))
 
 
 def surrogate_to_dict(s: Surrogate, delta_t: float) -> dict:
@@ -262,7 +327,7 @@ def surrogate_from_dict(doc) -> tuple[Surrogate, float]:
         centers = np.array([f["center"] for f in funcs], dtype=float)
         coords = [f["coord"] for f in funcs]
         coeffs = np.array(doc["coeffs"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidModel(f"malformed model entry: {type(exc).__name__}: {exc}") from None
     if funcs and centers.shape != (len(funcs), dim):
         raise InvalidModel(f"every center must be a list of dim={dim} numbers")

@@ -1,13 +1,15 @@
 """Reference loops for the blocked pair evaluators in symkern.kernels.
 
 These are the one-functional-at-a-time forms that the evaluators replaced,
-with h' and h'' from separate profile functions.  The blocked forms must
-reproduce them bit for bit, so the tests compare with np.array_equal.
+with h' and h'' from separate profile functions, plus the from-scratch
+native-space error that surrogate.TargetErrorNorm replaced.  The fast forms
+must reproduce them bit for bit, so the tests compare with np.array_equal.
 """
 
 import numpy as np
 
 from symkern.kernels import COINCIDENT_R2, LONG, profile_d1_zero
+from symkern.surrogate import DerivFunctional, Surrogate, fit, rkhs_norm
 
 
 def profile_d1(spec, s):
@@ -131,3 +133,20 @@ def mixed2_accumulate_precise(spec, x, centers, alphas, coeffs):
     for b in range(d):
         g[b] += np.sum(diag_terms[alphas == b])
     return g.astype(float)
+
+
+def synthetic_error_norm(kernel, target, sel_centers, sel_coords, sel_targets):
+    """||u - s_m||: s_m refitted from scratch, the norm of the difference
+    expansion through a fresh cross-Gram quadratic form."""
+    if len(sel_coords) == 0:
+        return rkhs_norm(kernel, target)
+    funcs = [DerivFunctional(c, int(a)) for c, a in zip(sel_centers, sel_coords)]
+    s_m = fit(kernel, funcs, np.asarray(sel_targets))
+    diff = Surrogate(
+        kernel,
+        np.vstack([target.centers, s_m.centers]),
+        np.concatenate([target.coords, s_m.coords]),
+        np.concatenate([target.coeffs, -s_m.coeffs]),
+        target.dim,
+    )
+    return rkhs_norm(kernel, diff)

@@ -159,6 +159,36 @@ def test_config_leaf_type_exit_code(tmp_path, capsys, override, where):
     assert err == f"config error: {where}\n"
 
 
+@pytest.mark.parametrize("command, config, message", [
+    ("train", {"experiment": "pendulum", "sampling": {"grid_counts": [5]}},
+     "sampling.grid_counts must hold one positive count for each of the 2 state "
+     "coordinates, got [5]"),
+    ("train", {"experiment": "pendulum", "system": {"mass": 0.0}},
+     "system.mass must be positive and finite, got 0.0"),
+    ("train", {"experiment": "pendulum", "system": {"length": -1.0}},
+     "system.length must be positive and finite, got -1.0"),
+    ("train", {"experiment": "chain", "system": {"n": 0}}, "system.n must be >= 1, got 0"),
+    ("train", {"experiment": "chain", "sampling": {"target_count": 0}},
+     "sampling.target_count must be >= 1, got 0"),
+    ("train", {"experiment": "pendulum", "selection": {"epsilons": [1e308]}},
+     "selection: epsilon must be positive with a finite square, got 1e+308"),
+    ("train", {"experiment": "pendulum", "selection": {"epsilons": [10**400]}},
+     "selection: int too large to convert to float"),
+    ("experiment", {"experiment": "pendulum", "test": {"count": 0}},
+     "test.count must be >= 1"),
+], ids=["grid-counts-length", "zero-mass", "negative-length", "empty-chain",
+        "zero-target-count", "epsilon-square-overflows", "epsilon-int-overflows",
+        "zero-test-count"])
+def test_config_leaf_value_exit_code(tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    argv = [command] + (["pendulum"] if command == "experiment" else [])
+    rc = main(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("x0, steps, message", [
     ("a,b", "2", "usage error: --x0 must be comma-separated numbers, got 'a,b'\n"),
     ("0.1,0.2,0.3", "2", "usage error: --x0 has 3 entries, the model state has 2\n"),
@@ -198,9 +228,11 @@ def _model_text(**over):
     _model_text(coeffs=[float("nan"), 0.5]),
     _model_text(dim=3, functionals=[{"center": [0.1, 0.2, 0.3], "coord": 0}], coeffs=[1.0]),
     _model_text(kernel="gaussian"),
+    _model_text(kernel={"family": "gaussian", "epsilon": 1e200}),
+    _model_text(kernel={"family": "gaussian", "epsilon": 10**400}),
 ], ids=["one-coeff-two-functionals", "short-centers", "coord-out-of-range", "no-kernel",
         "negative-delta-T", "top-level-list", "malformed-json", "nan-coeff", "odd-dim",
-        "kernel-not-object"])
+        "kernel-not-object", "epsilon-square-overflows", "epsilon-int-overflows"])
 def test_predict_bad_model_exit_code(tmp_path, capsys, text):
     model = tmp_path / "model.json"
     model.write_text(text)

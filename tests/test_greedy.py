@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import kernel_reference as ref
+from symkern import kernels
 from symkern.errors import EmptyDataset, InsufficientTrace
 from symkern.greedy import (
     GreedyConfig,
@@ -9,7 +11,7 @@ from symkern.greedy import (
     train_f_greedy,
     verify_block_bound,
 )
-from symkern.kernels import KernelSpec
+from symkern.kernels import FAMILIES, KernelSpec
 from symkern.surrogate import DerivFunctional, HBDataset, Surrogate
 
 GAUSS = KernelSpec("gaussian", 1.0)
@@ -186,3 +188,35 @@ def test_empty_dataset_rejected():
     data = HBDataset(inputs=np.zeros((0, 2)), targets=np.zeros((0, 2)), delta_t=0.1)
     with pytest.raises(EmptyDataset):
         train_f_greedy(GAUSS, data, GreedyConfig(max_centers=3))
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("block", [None, 1])
+def test_rkhs_error_equals_refit_bitwise(fam, d, block, monkeypatch):
+    # block: BLOCK_FLOATS (None keeps the module default, 1 gives one
+    # center per block).  The pool holds the target's representers, so the
+    # error falls to the rounding floor; one target center carries two
+    # coordinates.  Pairs of distinct points on different coordinates round
+    # differently in the two orientations, which a cache that mirrors one
+    # triangle of its pair matrix does not reproduce.
+    if block is not None:
+        monkeypatch.setattr(kernels, "BLOCK_FLOATS", block)
+    rng = np.random.default_rng(40 + d)
+    spec = KernelSpec(fam, 0.9)
+    reps = rng.uniform(-2.0, 2.0, (6, d))
+    coords = rng.integers(0, d, 6)
+    reps[5], coords[5] = reps[2], (coords[2] + 1) % d
+    target = Surrogate(spec, reps, coords, rng.standard_normal(6), d)
+    pool = np.vstack([reps[:5], rng.uniform(-2.0, 2.0, (15, d))])
+    data = make_dataset(pool, target.gradient_many(pool))
+    _, trace = train_f_greedy(spec, data, GreedyConfig(max_centers=30),
+                              synthetic_target=target)
+    sel = np.array(trace.point_index, dtype=int) * d + np.array(trace.coord, dtype=int)
+    y = data.targets.ravel()
+    assert len(trace.rkhs_error) == len(trace) > 6
+    for m, err in enumerate(trace.rkhs_error):
+        s = sel[:m]
+        assert np.array_equal(err, ref.synthetic_error_norm(spec, target, pool[s // d],
+                                                            s % d, y[s])), m
+    assert trace.rkhs_error[-1] <= 1e-6 * trace.rkhs_error[0]
