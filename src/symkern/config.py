@@ -9,6 +9,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 
 from .errors import ConfigError
 from .kernels import FAMILIES, KernelSpec
@@ -119,21 +120,35 @@ def _kind(val) -> str:
 _ACCEPTS = {"a number": ("a number", "an integer"), "null": ("an integer", "null")}
 
 
-def _check_types(cfg: dict, schema: dict, path: str = ""):
-    """Every leaf of cfg, list items included, has the kind of its default."""
+def _leaves(cfg: dict, schema: dict, path: str = ""):
+    """(name, value, default) for every leaf of cfg, list items included."""
     for key, ref in schema.items():
         where = f"{path}.{key}" if path else key
         val = cfg[key]
         if isinstance(ref, dict):
-            _check_types(val, ref, where)
-            continue
-        leaves = [(where, val, ref)]
-        if isinstance(ref, list) and isinstance(val, list):
-            leaves = [(f"{where}[{i}]", v, ref[0]) for i, v in enumerate(val)] if ref else []
-        for name, v, r in leaves:
-            accepts = _ACCEPTS.get(_kind(r), (_kind(r),))
-            if _kind(v) not in accepts:
-                raise ConfigError(f"{name}: expected {' or '.join(accepts)}, got {_kind(v)}")
+            yield from _leaves(val, ref, where)
+        elif isinstance(ref, list) and isinstance(val, list):
+            yield from ((f"{where}[{i}]", v, ref[0]) for i, v in enumerate(val))
+        else:
+            yield where, val, ref
+
+
+def _check_types(leaves):
+    """Every leaf has the kind of its default, and no number is NaN or
+    infinite (JSON files may spell them NaN and Infinity)."""
+    for name, v, r in leaves:
+        accepts = _ACCEPTS.get(_kind(r), (_kind(r),))
+        if _kind(v) not in accepts:
+            raise ConfigError(f"{name}: expected {' or '.join(accepts)}, got {_kind(v)}")
+        if _kind(v) == "a number" and not math.isfinite(v):
+            raise ConfigError(f"{name}: expected a finite number, got {v}")
+
+
+def _is_multiple(total, step) -> bool:
+    """Whether total is n * step for an integer n >= 1, to 1e-9 relative."""
+    ratio = total / step
+    n = round(ratio) if math.isfinite(ratio) else 0
+    return n >= 1 and abs(n * step - total) <= 1e-9 * max(1.0, total)
 
 
 def _check_system_and_sampling(cfg: dict):
@@ -159,7 +174,22 @@ def validate(cfg: dict) -> dict:
     """Type and cross-field checks; returns cfg on success."""
     if cfg["experiment"] not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {cfg['experiment']!r}")
-    _check_types(cfg, default_config(cfg["experiment"], cfg["scale"]))
+    leaves = list(_leaves(cfg, default_config(cfg["experiment"], cfg["scale"])))
+    _check_types(leaves)
+    for key in ("families", "epsilons"):
+        if not cfg["selection"][key]:
+            raise ConfigError(f"selection.{key} must be nonempty")
+    for fam in cfg["selection"]["families"]:
+        for eps in cfg["selection"]["epsilons"]:
+            try:
+                KernelSpec(fam, float(eps))
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(f"selection: {exc}") from None
+    # an integer leaf of a number default is used as a float; the selection
+    # grid above reports its own epsilons
+    for name, v, r in leaves:
+        if _kind(r) == "a number" and abs(v) > sys.float_info.max:
+            raise ConfigError(f"{name}: integer too large for a float")
     if cfg["scenario"] not in ("A", "B"):
         raise ConfigError(f"scenario must be 'A' or 'B', got {cfg['scenario']!r}")
     micro = cfg["micro_dt"]
@@ -169,18 +199,10 @@ def validate(cfg: dict) -> dict:
         raise ConfigError("delta_t_list must be nonempty")
     horizon = cfg["test"]["horizon"]
     for dt in cfg["delta_t_list"]:
-        k = round(dt / micro)
-        if k < 1 or abs(k * micro - dt) > 1e-9 * max(1.0, dt):
+        if not _is_multiple(dt, micro):
             raise ConfigError(f"delta_t={dt} is not an integer multiple of micro_dt={micro}")
-        steps = round(horizon / dt)
-        if steps < 1 or abs(steps * dt - horizon) > 1e-9 * max(1.0, horizon):
+        if not _is_multiple(horizon, dt):
             raise ConfigError(f"horizon {horizon} is not a multiple of delta_t={dt}")
-    for fam in cfg["selection"]["families"]:
-        for eps in cfg["selection"]["epsilons"]:
-            try:
-                KernelSpec(fam, float(eps))
-            except (ValueError, OverflowError) as exc:
-                raise ConfigError(f"selection: {exc}") from None
     _check_system_and_sampling(cfg)
     if cfg["test"]["count"] < 1:
         raise ConfigError("test.count must be >= 1")
@@ -205,7 +227,8 @@ def load_config(path=None, experiment=None, scale=None, seed=None) -> dict:
                 file_cfg = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # a decode error, or an integer past the interpreter's digit limit
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")

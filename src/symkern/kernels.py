@@ -43,9 +43,11 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}; expected one of {FAMILIES}")
-        # every profile squares epsilon
-        if not (self.epsilon > 0.0 and np.isfinite(self.epsilon * self.epsilon)):
-            raise ValueError(f"epsilon must be positive with a finite square, got {self.epsilon}")
+        # profile_derivs forms h'' from epsilon**4
+        e2 = self.epsilon * self.epsilon
+        if not (self.epsilon > 0.0 and np.isfinite(e2 * e2)):
+            raise ValueError(f"epsilon must be positive with a finite fourth power, "
+                             f"got {self.epsilon}")
 
     def to_dict(self):
         return {"family": self.family, "epsilon": float(self.epsilon)}
@@ -53,21 +55,6 @@ class KernelSpec:
     @staticmethod
     def from_dict(doc):
         return KernelSpec(family=doc["family"], epsilon=float(doc["epsilon"]))
-
-
-def profile(spec: KernelSpec, s):
-    """h(s) for array-like squared distances s."""
-    s = np.asarray(s, dtype=float)
-    e2 = spec.epsilon**2
-    if spec.family == "gaussian":
-        return np.exp(-e2 * s)
-    if spec.family == "imq":
-        return 1.0 / np.sqrt(1.0 + e2 * s)
-    t = spec.epsilon * np.sqrt(s)
-    if spec.family == "matern32":
-        return (1.0 + t) * np.exp(-t)
-    # matern52
-    return (1.0 + t + t**2 / 3.0) * np.exp(-t)
 
 
 def profile_derivs(spec: KernelSpec, s):
@@ -114,13 +101,6 @@ def _check_pair(x, y):
     if x.shape != y.shape or x.ndim != 1:
         raise DimensionMismatch(f"point shapes differ: {x.shape} vs {y.shape}")
     return x, y
-
-
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """k(x, y) = h(||x - y||^2)."""
-    x, y = _check_pair(x, y)
-    d = x - y
-    return float(profile(spec, d @ d))
 
 
 def kernel_grad2(spec: KernelSpec, x, y):
@@ -226,17 +206,6 @@ def mixed2_pairs(spec: KernelSpec, X, coords, centers, alphas):
         val = W * D[np.arange(a.size), :, a] * D[:, points, coords]
         K[lo:hi] = np.where(coords[None, :] == a[:, None], val + H, val)
     return K
-
-
-def grad2_accumulate(spec: KernelSpec, X, centers, alphas, coeffs):
-    """sum_j c_j * d/dy_{alpha_j} k(X[i], centers[j]) over many points X."""
-    X = np.asarray(X, dtype=float)
-    out = np.zeros(X.shape[0])
-    for c_j, x_j, a_j in zip(coeffs, centers, alphas):
-        D = X - x_j[None, :]
-        s = np.einsum("ij,ij->i", D, D)
-        out += (-2.0 * c_j) * profile_derivs(spec, s)[0] * D[:, a_j]
-    return out
 
 
 def mixed2_accumulate(spec: KernelSpec, X, centers, alphas, coeffs):

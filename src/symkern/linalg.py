@@ -73,24 +73,28 @@ def cholesky_factor(A):
 
 
 def _tri_solve_lower(L, b):
-    """Solve L x = b for lower-triangular L by forward substitution."""
-    n = L.shape[0]
+    """Solve L x = b for lower-triangular L by forward substitution.
+
+    One dot product of the contiguous row L[i, :i] per row, then one
+    subtraction and one division, so each x[i] rounds twice after its dot.
+    """
     x = np.array(b, dtype=float)
-    for i in range(n):
-        if i:
-            x[i] -= L[i, :i] @ x[:i]
-        x[i] /= L[i, i]
+    for i in range(x.size):
+        x[i] = (x[i] - L[i, :i].dot(x[:i])) / L[i, i]
     return x
 
 
 def _tri_solve_upper(U, b):
-    """Solve U x = b for upper-triangular U by back substitution."""
-    n = U.shape[0]
+    """Solve U x = b for upper-triangular U by back substitution.
+
+    Callers pass U = L.T, whose rows U[i, i+1:] are strided views of L's
+    columns.  They are dotted as views: OpenBLAS sums a strided ddot in
+    sequence but a contiguous one in SIMD lanes, so a transposed copy
+    would change the bits.
+    """
     x = np.array(b, dtype=float)
-    for i in range(n - 1, -1, -1):
-        if i < n - 1:
-            x[i] -= U[i, i + 1:] @ x[i + 1:]
-        x[i] /= U[i, i]
+    for i in range(x.size - 1, -1, -1):
+        x[i] = (x[i] - U[i, i + 1:].dot(x[i + 1:])) / U[i, i]
     return x
 
 
@@ -98,11 +102,10 @@ def cholesky_solve(A, b):
     """Solve A x = b for symmetric positive definite A.
 
     Applies the jitter ladder before giving up; raises NotPositiveDefinite
-    once the ladder is exhausted.
+    once the ladder is exhausted.  A is validated by cholesky_factor.
     """
-    A = as_matrix(A, square=True, name="A")
-    b = as_vector(b, size=A.shape[0], name="b")
     L, _ = cholesky_factor(A)
+    b = as_vector(b, size=L.shape[0], name="b")
     return _tri_solve_upper(L.T, _tri_solve_lower(L, b))
 
 

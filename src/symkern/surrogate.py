@@ -19,7 +19,6 @@ from .kernels import (
     KernelSpec,
     block_centers,
     coord_index,
-    grad2_accumulate,
     mixed2_accumulate,
     mixed2_accumulate_precise,
     mixed2_field,
@@ -92,13 +91,6 @@ class Surrogate:
         if x.shape != (self.dim,):
             raise DimensionMismatch(f"point shape {x.shape} does not match dim {self.dim}")
         return x
-
-    def value(self, x) -> float:
-        x = self._check_point(x)
-        if self.size == 0:
-            return 0.0
-        return float(grad2_accumulate(self.kernel, x[None, :], self.centers, self.coords,
-                                      self.coeffs)[0])
 
     def gradient(self, x):
         return self.gradient_many(self._check_point(x)[None, :])[0]
@@ -177,7 +169,14 @@ def gram_matrix(kernel: KernelSpec, functionals):
         hi = min(lo + step, m)
         G[lo:hi, lo:] = mixed2_pairs(kernel, centers[lo:], coords[lo:],
                                      centers[lo:hi], coords[lo:hi])
-    return np.triu(G) + np.triu(G, 1).T
+    return _mirror_upper(G, np.triu(np.ones((m, m), dtype=bool)))
+
+
+def _mirror_upper(S, upper):
+    """The symmetric matrix whose upper triangle is that of S, where upper
+    is the boolean upper-triangle mask of S's shape.  Adding 0.0 turns -0.0
+    into 0.0, so the result equals triu(S) + triu(S, 1).T bit for bit."""
+    return np.where(upper, S, S.T) + 0.0
 
 
 def fit(kernel: KernelSpec, functionals, targets) -> Surrogate:
@@ -228,11 +227,13 @@ def rkhs_inner(kernel: KernelSpec, sa: Surrogate, sb: Surrogate) -> float:
 
 def _quadratic_form(a, K, b) -> float:
     """sum_j (a . K[j]) b[j]: one dot product per center of b, summed in
-    center order.  Both callers pass a C-contiguous K, so each row product
-    sees the same memory layout and rounds alike."""
+    center order.  np.vecdot takes each row's dot from the same BLAS ddot as
+    a @ K[j] (a gemv K @ a would not round alike), and the terms are added
+    one at a time from 0.0, because np.sum pairs them and the built-in sum
+    compensates from Python 3.12 on."""
     total = 0.0
-    for j in range(b.size):
-        total += float(a @ K[j]) * b[j]
+    for term in (np.vecdot(K, a) * b).tolist():
+        total += term
     return total
 
 
@@ -263,6 +264,7 @@ class TargetErrorNorm:
         self.centers = np.empty((size, target.dim))
         self.coords = np.empty(size, dtype=int)
         self.pairs = np.empty((size, size))
+        self.upper = np.triu(np.ones((capacity, capacity), dtype=bool))
         self.centers[:self.n0], self.coords[:self.n0] = target.centers, target.coords
         self.pairs[:self.n0, :self.n0] = mixed2_pairs(kernel, target.centers, target.coords,
                                                       target.centers, target.coords)
@@ -284,10 +286,9 @@ class TargetErrorNorm:
             self._append(center, coord)
         n0, n, coeffs = self.n0, self.n, self.coeffs
         if n > n0:
-            S = self.pairs[n0:n, n0:n]
-            G = np.triu(S) + np.triu(S, 1).T
+            G = _mirror_upper(self.pairs[n0:n, n0:n], self.upper[:n - n0, :n - n0])
             coeffs = np.concatenate([coeffs, -cholesky_solve(G, targets)])
-        total = _quadratic_form(coeffs, self.pairs[:n, :n].copy(), coeffs)
+        total = _quadratic_form(coeffs, self.pairs[:n, :n], coeffs)
         return float(np.sqrt(max(total, 0.0)))
 
 
@@ -325,6 +326,8 @@ def surrogate_from_dict(doc) -> tuple[Surrogate, float]:
         kernel = KernelSpec.from_dict(doc["kernel"])
         delta_t = float(doc["delta_T"])
         centers = np.array([f["center"] for f in funcs], dtype=float)
+        if not funcs:
+            centers = centers.reshape(0, dim)    # ValueError past numpy's size limit
         coords = [f["coord"] for f in funcs]
         coeffs = np.array(doc["coeffs"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -340,4 +343,4 @@ def surrogate_from_dict(doc) -> tuple[Surrogate, float]:
     if not (delta_t > 0 and np.isfinite(delta_t)):
         raise InvalidModel(f"delta_T must be positive and finite, got {delta_t}")
     coords = np.array(coords, dtype=int)
-    return Surrogate(kernel, centers.reshape(len(funcs), dim), coords, coeffs, dim), delta_t
+    return Surrogate(kernel, centers, coords, coeffs, dim), delta_t

@@ -1,15 +1,60 @@
 """Reference loops for the blocked pair evaluators in symkern.kernels.
 
 These are the one-functional-at-a-time forms that the evaluators replaced,
-with h' and h'' from separate profile functions, plus the from-scratch
-native-space error that surrogate.TargetErrorNorm replaced.  The fast forms
-must reproduce them bit for bit, so the tests compare with np.array_equal.
+with h' and h'' from separate profile functions; the row loops of the
+triangular solves, the quadratic form and the Gram mirror; and the
+from-scratch native-space error that surrogate.TargetErrorNorm replaced.
+The fast forms must reproduce them bit for bit, so the tests compare with
+np.array_equal, or byte for byte where the sign of a zero matters.  The
+kernel value and the potential of an expansion, which only the tests use,
+live here too.
 """
 
 import numpy as np
 
-from symkern.kernels import COINCIDENT_R2, LONG, profile_d1_zero
-from symkern.surrogate import DerivFunctional, Surrogate, fit, rkhs_norm
+from symkern.kernels import COINCIDENT_R2, LONG, _check_pair, profile_d1_zero, profile_derivs
+from symkern.linalg import cholesky_factor
+from symkern.surrogate import Surrogate
+
+
+def profile(spec, s):
+    """h(s) for array-like squared distances s."""
+    s = np.asarray(s, dtype=float)
+    e2 = spec.epsilon**2
+    if spec.family == "gaussian":
+        return np.exp(-e2 * s)
+    if spec.family == "imq":
+        return 1.0 / np.sqrt(1.0 + e2 * s)
+    t = spec.epsilon * np.sqrt(s)
+    if spec.family == "matern32":
+        return (1.0 + t) * np.exp(-t)
+    return (1.0 + t + t**2 / 3.0) * np.exp(-t)
+
+
+def kernel_eval(spec, x, y):
+    """k(x, y) = h(||x - y||^2)."""
+    x, y = _check_pair(x, y)
+    d = x - y
+    return float(profile(spec, d @ d))
+
+
+def grad2_accumulate(spec, X, centers, alphas, coeffs):
+    """sum_j c_j * d/dy_{alpha_j} k(X[i], centers[j]) over many points X."""
+    X = np.asarray(X, dtype=float)
+    out = np.zeros(X.shape[0])
+    for c_j, x_j, a_j in zip(coeffs, centers, alphas):
+        D = X - x_j[None, :]
+        s = np.einsum("ij,ij->i", D, D)
+        out += (-2.0 * c_j) * profile_derivs(spec, s)[0] * D[:, a_j]
+    return out
+
+
+def surrogate_value(s, x):
+    """The potential sum_j c_j d/dy_{a_j} k(x, x_j) whose gradient is s."""
+    x = s._check_point(x)
+    if s.size == 0:
+        return 0.0
+    return float(grad2_accumulate(s.kernel, x[None, :], s.centers, s.coords, s.coeffs)[0])
 
 
 def profile_d1(spec, s):
@@ -70,8 +115,38 @@ def gram_matrix(spec, centers, coords):
     for i in range(m):
         F = mixed2_field(spec, centers, centers[i], int(coords[i]))
         G[i, :] = F[idx, coords]
-    upper = np.triu(G)
-    return upper + np.triu(G, 1).T
+    return mirror_upper(G)
+
+
+def mirror_upper(S):
+    return np.triu(S) + np.triu(S, 1).T
+
+
+def tri_solve_lower(L, b):
+    n = L.shape[0]
+    x = np.array(b, dtype=float)
+    for i in range(n):
+        if i:
+            x[i] -= L[i, :i] @ x[:i]
+        x[i] /= L[i, i]
+    return x
+
+
+def tri_solve_upper(U, b):
+    n = U.shape[0]
+    x = np.array(b, dtype=float)
+    for i in range(n - 1, -1, -1):
+        if i < n - 1:
+            x[i] -= U[i, i + 1:] @ x[i + 1:]
+        x[i] /= U[i, i]
+    return x
+
+
+def quadratic_form(a, K, b):
+    total = 0.0
+    for j in range(b.size):
+        total += float(a @ K[j]) * b[j]
+    return total
 
 
 def rkhs_inner(spec, sa, sb):
@@ -136,17 +211,20 @@ def mixed2_accumulate_precise(spec, x, centers, alphas, coeffs):
 
 
 def synthetic_error_norm(kernel, target, sel_centers, sel_coords, sel_targets):
-    """||u - s_m||: s_m refitted from scratch, the norm of the difference
-    expansion through a fresh cross-Gram quadratic form."""
-    if len(sel_coords) == 0:
-        return rkhs_norm(kernel, target)
-    funcs = [DerivFunctional(c, int(a)) for c, a in zip(sel_centers, sel_coords)]
-    s_m = fit(kernel, funcs, np.asarray(sel_targets))
-    diff = Surrogate(
-        kernel,
-        np.vstack([target.centers, s_m.centers]),
-        np.concatenate([target.coords, s_m.coords]),
-        np.concatenate([target.coeffs, -s_m.coeffs]),
-        target.dim,
-    )
-    return rkhs_norm(kernel, diff)
+    """||u - s_m||: s_m refitted from scratch through the row-loop Gram
+    matrix and triangular solves, the norm of the difference expansion
+    through the per-center quadratic form of a fresh pair matrix."""
+    diff = target
+    if len(sel_coords):
+        G = gram_matrix(kernel, np.asarray(sel_centers), np.asarray(sel_coords))
+        L, _ = cholesky_factor(G)
+        coeffs = tri_solve_upper(L.T, tri_solve_lower(L, sel_targets))
+        diff = Surrogate(
+            kernel,
+            np.vstack([target.centers, sel_centers]),
+            np.concatenate([target.coords, sel_coords]),
+            np.concatenate([target.coeffs, -coeffs]),
+            target.dim,
+        )
+    K = mixed2_pairs(kernel, diff.centers, diff.coords, diff.centers, diff.coords)
+    return float(np.sqrt(max(quadratic_form(diff.coeffs, K, diff.coeffs), 0.0)))

@@ -171,14 +171,32 @@ def test_config_leaf_type_exit_code(tmp_path, capsys, override, where):
     ("train", {"experiment": "chain", "sampling": {"target_count": 0}},
      "sampling.target_count must be >= 1, got 0"),
     ("train", {"experiment": "pendulum", "selection": {"epsilons": [1e308]}},
-     "selection: epsilon must be positive with a finite square, got 1e+308"),
+     "selection: epsilon must be positive with a finite fourth power, got 1e+308"),
+    ("train", {"experiment": "pendulum", "selection": {"epsilons": [1e100]}},
+     "selection: epsilon must be positive with a finite fourth power, got 1e+100"),
     ("train", {"experiment": "pendulum", "selection": {"epsilons": [10**400]}},
      "selection: int too large to convert to float"),
     ("experiment", {"experiment": "pendulum", "test": {"count": 0}},
      "test.count must be >= 1"),
+    ("train", {"experiment": "pendulum", "selection": {"families": []}},
+     "selection.families must be nonempty"),
+    ("train", {"experiment": "pendulum", "selection": {"families": ["cubic"], "epsilons": []}},
+     "selection.epsilons must be nonempty"),
+    ("train", {"experiment": "pendulum", "delta_t_list": [float("nan")]},
+     "delta_t_list[0]: expected a finite number, got nan"),
+    ("experiment", {"experiment": "pendulum", "test": {"horizon": float("inf")}},
+     "test.horizon: expected a finite number, got inf"),
+    ("train", {"experiment": "chain", "system": {"q_max": float("nan")}},
+     "system.q_max: expected a finite number, got nan"),
+    ("train", {"experiment": "chain", "system": {"q_max": 10**400}},
+     "system.q_max: integer too large for a float"),
+    ("train", {"experiment": "pendulum", "micro_dt": 5e-324},
+     "delta_t=0.1 is not an integer multiple of micro_dt=5e-324"),
 ], ids=["grid-counts-length", "zero-mass", "negative-length", "empty-chain",
-        "zero-target-count", "epsilon-square-overflows", "epsilon-int-overflows",
-        "zero-test-count"])
+        "zero-target-count", "epsilon-square-overflows", "epsilon-fourth-power-overflows",
+        "epsilon-int-overflows", "zero-test-count", "empty-families", "empty-epsilons",
+        "nan-delta-t", "infinite-horizon", "nan-chain-bound", "int-chain-bound-overflows",
+        "subnormal-micro-dt"])
 def test_config_leaf_value_exit_code(tmp_path, capsys, command, config, message):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
@@ -230,9 +248,12 @@ def _model_text(**over):
     _model_text(kernel="gaussian"),
     _model_text(kernel={"family": "gaussian", "epsilon": 1e200}),
     _model_text(kernel={"family": "gaussian", "epsilon": 10**400}),
+    _model_text(kernel={"family": "gaussian", "epsilon": 1e100}),
+    _model_text(dim=2**60, functionals=[], coeffs=[]),
 ], ids=["one-coeff-two-functionals", "short-centers", "coord-out-of-range", "no-kernel",
         "negative-delta-T", "top-level-list", "malformed-json", "nan-coeff", "odd-dim",
-        "kernel-not-object", "epsilon-square-overflows", "epsilon-int-overflows"])
+        "kernel-not-object", "epsilon-square-overflows", "epsilon-int-overflows",
+        "epsilon-fourth-power-overflows", "empty-model-dim-overflows"])
 def test_predict_bad_model_exit_code(tmp_path, capsys, text):
     model = tmp_path / "model.json"
     model.write_text(text)

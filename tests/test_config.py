@@ -80,3 +80,12 @@ def test_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="valid JSON"):
         load_config(str(path))
+
+
+def test_integer_past_digit_limit(tmp_path):
+    # json raises a plain ValueError, not a JSONDecodeError, for an integer
+    # longer than the interpreter's int-to-str digit limit
+    path = tmp_path / "long.json"
+    path.write_text('{"experiment": "pendulum", "seed": ' + "1" * 5000 + "}")
+    with pytest.raises(ConfigError, match="valid JSON"):
+        load_config(str(path))

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
+import kernel_reference as ref
 from symkern.errors import DimensionMismatch, NotPositiveDefinite, Overflow
-from symkern.linalg import cholesky_solve, expm, herm_eigen_small, max_abs, sym_eigen
+from symkern.linalg import (
+    _tri_solve_lower,
+    _tri_solve_upper,
+    cholesky_solve,
+    expm,
+    herm_eigen_small,
+    max_abs,
+    sym_eigen,
+)
 
 
 def test_cholesky_identity():
@@ -45,6 +54,20 @@ def test_cholesky_rejects_indefinite():
 def test_cholesky_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         cholesky_solve(np.eye(3), [1.0, 2.0])
+
+
+def test_triangular_solves_equal_row_loops_bitwise():
+    # forward substitution dots the contiguous rows of L, back substitution
+    # the strided rows of the view L.T; each must round as the reference
+    # loops do (tobytes also tells -0.0 from 0.0)
+    rng = np.random.default_rng(19)
+    for n in range(1, 301):
+        L = np.tril(rng.uniform(-1.0, 1.0, (n, n))) / n + np.eye(n)
+        b = rng.standard_normal(n)
+        y = _tri_solve_lower(L, b)
+        assert y.tobytes() == ref.tri_solve_lower(L, b).tobytes(), n
+        x = _tri_solve_upper(L.T, y)
+        assert x.tobytes() == ref.tri_solve_upper(L.T, y).tobytes(), n
 
 
 def test_sym_eigen_diagonal():
