@@ -11,8 +11,11 @@ import json
 import math
 import sys
 
+from .data import MAX_DRAWS
 from .errors import ConfigError
+from .integrators import step_count
 from .kernels import FAMILIES, KernelSpec
+from .mor import MAX_SNAPSHOTS
 
 EXPERIMENTS = ("pendulum", "chain", "wave")
 SCALES = ("desk", "paper")
@@ -144,30 +147,40 @@ def _check_types(leaves):
             raise ConfigError(f"{name}: expected a finite number, got {v}")
 
 
-def _is_multiple(total, step) -> bool:
-    """Whether total is n * step for an integer n >= 1, to 1e-9 relative."""
-    ratio = total / step
-    n = round(ratio) if math.isfinite(ratio) else 0
-    return n >= 1 and abs(n * step - total) <= 1e-9 * max(1.0, total)
-
-
 def _check_system_and_sampling(cfg: dict):
-    """The system parameters and sample sizes the samplers divide by or
-    reduce over."""
-    system, sampling = cfg["system"], cfg["sampling"]
-    if cfg["experiment"] == "pendulum":
-        for key in ("mass", "length", "gravity"):
-            if not (system[key] > 0 and math.isfinite(system[key])):
-                raise ConfigError(f"system.{key} must be positive and finite, got {system[key]}")
+    """The system parameters and sample sizes the samplers divide by,
+    bound boxes and energies with, reduce over or allocate."""
+    system, sampling, exp = cfg["system"], cfg["sampling"], cfg["experiment"]
+    positive = {"pendulum": ("mass", "length", "gravity"),
+                "chain": ("q_max", "p_max", "energy_cap"), "wave": ("z_max", "energy_cap")}
+    for key in positive[exp]:
+        if not (system[key] > 0 and math.isfinite(system[key])):
+            raise ConfigError(f"system.{key} must be positive and finite, got {system[key]}")
+    if exp == "pendulum":
         counts = sampling["grid_counts"]
         if len(counts) != 2 or min(counts) < 1:
             raise ConfigError("sampling.grid_counts must hold one positive count for each of "
                               f"the 2 state coordinates, got {counts}")
+        if math.prod(counts) > MAX_DRAWS:
+            raise ConfigError(f"sampling.grid_counts must hold at most {MAX_DRAWS} grid points")
         return
-    if cfg["experiment"] == "chain" and system["n"] < 1:
+    if exp == "chain" and system["n"] < 1:
         raise ConfigError(f"system.n must be >= 1, got {system['n']}")
-    if sampling["target_count"] < 1:
-        raise ConfigError(f"sampling.target_count must be >= 1, got {sampling['target_count']}")
+    if exp == "wave":
+        modes, grid, reduced = system["snapshot_modes"], system["n_grid"], system["reduced_modes"]
+        if grid < 1:
+            raise ConfigError(f"system.n_grid must be >= 1, got {grid}")
+        if not 1 <= modes <= math.isqrt(MAX_SNAPSHOTS):
+            raise ConfigError("system.snapshot_modes must be >= 1 with snapshot_modes**2 <= "
+                              f"{MAX_SNAPSHOTS}, got {modes}")
+        if not 1 <= reduced <= min(modes ** 2, grid):
+            raise ConfigError(f"system.reduced_modes must lie in [1, {min(modes ** 2, grid)}], "
+                              f"got {reduced}")
+    count = sampling["target_count"]
+    if count < 1:
+        raise ConfigError(f"sampling.target_count must be >= 1, got {count}")
+    if count > MAX_DRAWS:
+        raise ConfigError(f"sampling.target_count must be <= {MAX_DRAWS}, got {count}")
 
 
 def validate(cfg: dict) -> dict:
@@ -199,13 +212,17 @@ def validate(cfg: dict) -> dict:
         raise ConfigError("delta_t_list must be nonempty")
     horizon = cfg["test"]["horizon"]
     for dt in cfg["delta_t_list"]:
-        if not _is_multiple(dt, micro):
+        if step_count(dt, micro) is None:
             raise ConfigError(f"delta_t={dt} is not an integer multiple of micro_dt={micro}")
-        if not _is_multiple(horizon, dt):
+        if step_count(horizon, dt) is None:
             raise ConfigError(f"horizon {horizon} is not a multiple of delta_t={dt}")
+    if step_count(horizon, micro) is None:
+        raise ConfigError(f"horizon {horizon} is not a multiple of micro_dt={micro}")
     _check_system_and_sampling(cfg)
     if cfg["test"]["count"] < 1:
         raise ConfigError("test.count must be >= 1")
+    if cfg["test"]["count"] > MAX_DRAWS:
+        raise ConfigError(f"test.count must be <= {MAX_DRAWS}, got {cfg['test']['count']}")
     if not 0.0 < cfg["validation_fraction"] < 1.0:
         raise ConfigError("validation_fraction must lie in (0, 1)")
     if cfg["greedy"]["max_centers"] < 1:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, FilterTooTight, NotOneDOF, TooFewSamples
-from .integrators import midpoint_many
+from .integrators import midpoint_many, step_count
 from .surrogate import HBDataset
 from .systems import HamiltonianSystem, Wave, apply_jt
 
@@ -129,8 +129,8 @@ def build_hb_dataset(sys: HamiltonianSystem, states, delta_t: float,
     X0 = np.atleast_2d(np.asarray(states, dtype=float))
     if X0.shape[1] != sys.dim:
         raise DimensionMismatch(f"state dim {X0.shape[1]} != {sys.dim}")
-    K = int(round(delta_t / micro_dt))
-    if K < 1 or abs(K * micro_dt - delta_t) > 1e-9 * max(1.0, delta_t):
+    K = step_count(delta_t, micro_dt)
+    if K is None:
         raise ValueError(f"delta_t={delta_t} is not an integer multiple of micro_dt={micro_dt}")
     XT = midpoint_many(sys, X0, micro_dt, K)
     n = sys.n

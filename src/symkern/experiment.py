@@ -16,7 +16,7 @@ from .config import validate
 from .data import SamplerSpec, build_hb_dataset, sample_states, split_train_validation
 from .errors import AllCandidatesFailed, SymkernError
 from .greedy import GreedyConfig, max_residual_error, train_f_greedy
-from .integrators import Trajectory, midpoint_many, propagate
+from .integrators import Trajectory, midpoint_many, propagate, step_count
 from .ioutil import ensure_dir, fmt, write_csv, write_json
 from .kernels import FAMILIES, KernelSpec
 from .metrics import MetricSeries, compute_metrics, mean_series
@@ -226,7 +226,7 @@ def _run_stages(cfg, out_dir, stages, rollouts):
     ics = test_states(cfg, sys_)
     micro = cfg["micro_dt"]
     horizon = cfg["test"]["horizon"]
-    ref_steps = int(round(horizon / micro))
+    ref_steps = step_count(horizon, micro)
     ref_path = midpoint_many(sys_, ics, micro, ref_steps, keep_path=True)
     ref_times = np.arange(ref_steps + 1) * micro
     stages.append("reference")
@@ -243,7 +243,7 @@ def _run_stages(cfg, out_dir, stages, rollouts):
                                           [row[2] for row in conv if row[0] > 0]))
 
         model = PredictorModel(surr, dt)
-        steps = int(round(horizon / dt))
+        steps = step_count(horizon, dt)
         per_ic = {k: [] for k in ("rel_pred", "rel_baseline", "energy_pred",
                                   "energy_baseline", "energy_reference")}
         iters_total = 0

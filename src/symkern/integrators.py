@@ -2,12 +2,13 @@
 
 The implicit midpoint rule (Newton on the analytic Hessian) serves as the
 high-fidelity micro reference and as the structure-preserving macro
-baseline.  The batched variant advances many initial states at once and
-runs through the same update map.
+baseline.  One Newton serves the single step and the batched variant,
+which advances many initial states at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,62 +51,68 @@ def _midpoint_matrices(sys, dt: float):
     return eye - 0.5 * dt * A, eye + 0.5 * dt * A
 
 
+def step_count(span, step) -> int | None:
+    """The n >= 1 with span = n * step to 1e-9 relative, else None."""
+    ratio = span / step
+    n = round(ratio) if math.isfinite(ratio) else 0
+    return n if n >= 1 and abs(n * step - span) <= 1e-9 * max(1.0, span) else None
+
+
+def _midpoint_newton(sys: HamiltonianSystem, X, dt: float, tol):
+    """Newton jointly over a batch; returns (next states, updates, residuals)."""
+    J = jmat(sys.n)
+    eye = np.eye(sys.dim)
+    Xn = X.copy()
+    for it in range(NEWTON_MAX_ITER):
+        mid = 0.5 * (X + Xn)
+        F = Xn - X - dt * apply_j(sys.grad_many(mid))
+        res = np.max(np.abs(F), axis=1)
+        if np.all(res <= tol):
+            return Xn, it, res
+        DF = eye[None, :, :] - 0.5 * dt * np.einsum("ij,mjk->mik", J, sys.hess_many(mid))
+        Xn = Xn - np.linalg.solve(DF, F[:, :, None])[:, :, 0]
+    worst = int(np.argmax(res))
+    raise NoConvergence(f"midpoint Newton did not converge, row {worst} at residual "
+                        f"{res[worst]:.3e}")
+
+
 def implicit_midpoint_step(sys: HamiltonianSystem, x, dt: float):
     """One implicit midpoint step; returns (next state, solve report).
 
-    Newton iteration on the analytic Hessian, with step-halving fallback
-    when a full step does not reduce the residual.  Quadratic systems are
-    advanced by a single exact linear solve.
+    Newton on the one-row batch; quadratic systems take one exact solve.
     """
     x = np.asarray(x, dtype=float)
-    tol = NEWTON_TOL_FACTOR * (1.0 + np.max(np.abs(x), initial=0.0))
+    tol = NEWTON_TOL_FACTOR * (1.0 + np.max(np.abs(x[None, :]), axis=1))
     if sys.quadratic:
         L, R = _midpoint_matrices(sys, dt)
         x_new = np.linalg.solve(L, R @ x)
         res = float(np.max(np.abs(x_new - x - dt * apply_j(sys.grad(0.5 * (x + x_new))))))
-        return x_new, SolveReport(iterations=1, final_residual_norm=res, converged=res <= tol)
+        return x_new, SolveReport(iterations=1, final_residual_norm=res, converged=res <= tol[0])
+    X, iterations, res = _midpoint_newton(sys, x[None, :], dt, tol)
+    return X[0], SolveReport(iterations, float(res[0]), True)
 
-    def residual(xn):
-        return xn - x - dt * apply_j(sys.grad(0.5 * (x + xn)))
 
-    x_new = x.copy()
-    F = residual(x_new)
-    res = float(np.max(np.abs(F)))
-    eye = np.eye(sys.dim)
-    J = jmat(sys.n)
-    for it in range(1, NEWTON_MAX_ITER + 1):
-        if res <= tol:
-            return x_new, SolveReport(iterations=it - 1, final_residual_norm=res, converged=True)
-        DF = eye - 0.5 * dt * (J @ sys.hess(0.5 * (x + x_new)))
-        delta = np.linalg.solve(DF, F)
-        scale = 1.0
-        for _ in range(8):
-            cand = x_new - scale * delta
-            F_cand = residual(cand)
-            res_cand = float(np.max(np.abs(F_cand)))
-            if res_cand < res or res <= tol:
-                break
-            scale *= 0.5
-        x_new, F, res = cand, F_cand, res_cand
-    if res <= tol:
-        return x_new, SolveReport(NEWTON_MAX_ITER, res, True)
-    raise NoConvergence(
-        f"implicit midpoint Newton stalled at residual {res:.3e} (tol {tol:.3e})"
-    )
+def compose(step, x0, dt: float, steps: int) -> Trajectory:
+    """Iterate step(x) -> (next state, report); record every state and each
+    step's solver iterations."""
+    x = np.asarray(x0, dtype=float)
+    states = np.empty((steps + 1, x.size))
+    states[0] = x
+    iters = np.zeros(steps + 1, dtype=int)
+    for k in range(steps):
+        try:
+            x, report = step(x)
+        except NoConvergence as exc:
+            raise NoConvergence(f"step {k}: {exc}") from exc
+        states[k + 1] = x
+        iters[k + 1] = report.iterations
+    return Trajectory(times=np.arange(steps + 1) * dt, states=states, step=dt,
+                      solver_iterations=iters)
 
 
 def propagate(sys: HamiltonianSystem, x0, dt: float, steps: int) -> Trajectory:
     """Iterate the implicit midpoint step and record every state."""
-    x = np.asarray(x0, dtype=float)
-    out = np.empty((steps + 1, x.size))
-    out[0] = x
-    for k in range(steps):
-        try:
-            x, _ = implicit_midpoint_step(sys, x, dt)
-        except NoConvergence as exc:
-            raise NoConvergence(f"step {k}: {exc}") from exc
-        out[k + 1] = x
-    return Trajectory(times=np.arange(steps + 1) * dt, states=out, step=dt)
+    return compose(lambda x: implicit_midpoint_step(sys, x, dt), x0, dt, steps)
 
 
 def midpoint_many(sys: HamiltonianSystem, X0, dt: float, steps: int,
@@ -113,8 +120,9 @@ def midpoint_many(sys: HamiltonianSystem, X0, dt: float, steps: int,
     """Advance a batch of states with the implicit midpoint rule.
 
     Returns the (M, 2n) final states, or the full (steps+1, M, 2n) path
-    when keep_path is set.  Newton runs jointly over the batch (converged
-    rows are stationary), with per-row tolerances.
+    when keep_path is set.  Each row's tolerance comes from its initial
+    state.  Every row keeps stepping until all rows pass, so a row's bits
+    can depend on its batch.
     """
     X = np.asarray(X0, dtype=float).copy()
     if X.ndim != 2:
@@ -123,31 +131,16 @@ def midpoint_many(sys: HamiltonianSystem, X0, dt: float, steps: int,
     if keep_path:
         path[0] = X
     if sys.quadratic:
-        L, R = _midpoint_matrices(sys, dt)
-        S = np.linalg.solve(L, R)
-        for k in range(steps):
-            X = X @ S.T
-            if keep_path:
-                path[k + 1] = X
-        return path if keep_path else X
-
-    J = jmat(sys.n)
-    eye = np.eye(sys.dim)
-    tol = NEWTON_TOL_FACTOR * (1.0 + np.max(np.abs(X), axis=1))
+        S = np.linalg.solve(*_midpoint_matrices(sys, dt))
+        advance = lambda Y: Y @ S.T
+    else:
+        tol = NEWTON_TOL_FACTOR * (1.0 + np.max(np.abs(X), axis=1))
+        advance = lambda Y: _midpoint_newton(sys, Y, dt, tol)[0]
     for k in range(steps):
-        Xn = X.copy()
-        for it in range(NEWTON_MAX_ITER):
-            mid = 0.5 * (X + Xn)
-            F = Xn - X - dt * apply_j(sys.grad_many(mid))
-            res = np.max(np.abs(F), axis=1)
-            if np.all(res <= tol):
-                break
-            DF = eye[None, :, :] - 0.5 * dt * np.einsum("ij,mjk->mik", J, sys.hess_many(mid))
-            Xn = Xn - np.linalg.solve(DF, F[:, :, None])[:, :, 0]
-        else:
-            worst = int(np.argmax(res))
-            raise NoConvergence(f"batched midpoint stalled at step {k}, sample {worst}")
-        X = Xn
+        try:
+            X = advance(X)
+        except NoConvergence as exc:
+            raise NoConvergence(f"step {k}: {exc}") from exc
         if keep_path:
             path[k + 1] = X
     return path if keep_path else X

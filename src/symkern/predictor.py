@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySample, NoConvergence
-from .integrators import SolveReport, Trajectory
+from .integrators import SolveReport, Trajectory, compose
 from .kernels import LONG_EPS, mixed2_self
 from .linalg import sym_eigen
 from .surrogate import Surrogate
@@ -146,19 +146,7 @@ def predict_step(model: PredictorModel, x0, tol_factor: float | None = None):
 
 def rollout(model: PredictorModel, x0, num_steps: int) -> Trajectory:
     """Compose macro steps; the composition stays symplectic."""
-    x = np.asarray(x0, dtype=float)
-    states = np.empty((num_steps + 1, x.size))
-    states[0] = x
-    iters = np.zeros(num_steps + 1, dtype=int)
-    for k in range(num_steps):
-        try:
-            x, report = predict_step(model, x)
-        except NoConvergence as exc:
-            raise NoConvergence(f"macro step {k}: {exc}") from exc
-        states[k + 1] = x
-        iters[k + 1] = report.iterations
-    return Trajectory(times=np.arange(num_steps + 1) * model.delta_t, states=states,
-                      step=model.delta_t, solver_iterations=iters)
+    return compose(lambda x: predict_step(model, x), x0, model.delta_t, num_steps)
 
 
 def symplecticity_defect(model: PredictorModel, x0, fd_step: float = 1e-6) -> float:

@@ -192,11 +192,47 @@ def test_config_leaf_type_exit_code(tmp_path, capsys, override, where):
      "system.q_max: integer too large for a float"),
     ("train", {"experiment": "pendulum", "micro_dt": 5e-324},
      "delta_t=0.1 is not an integer multiple of micro_dt=5e-324"),
+    ("experiment", {"experiment": "pendulum", "micro_dt": 0.001000000005},
+     "horizon 6.0 is not a multiple of micro_dt=0.001000000005"),
+    ("train", {"experiment": "wave", "system": {"snapshot_modes": 0}},
+     "system.snapshot_modes must be >= 1 with snapshot_modes**2 <= 64, got 0"),
+    ("train", {"experiment": "wave", "system": {"snapshot_modes": 9}},
+     "system.snapshot_modes must be >= 1 with snapshot_modes**2 <= 64, got 9"),
+    ("train", {"experiment": "wave", "system": {"n_grid": 0}}, "system.n_grid must be >= 1, got 0"),
+    ("train", {"experiment": "wave", "system": {"z_max": -1}},
+     "system.z_max must be positive and finite, got -1"),
+    ("train", {"experiment": "chain", "system": {"q_max": 0}},
+     "system.q_max must be positive and finite, got 0"),
+    ("train", {"experiment": "chain", "system": {"p_max": 0}},
+     "system.p_max must be positive and finite, got 0"),
+    ("train", {"experiment": "wave", "system": {"reduced_modes": 0}},
+     "system.reduced_modes must lie in [1, 4], got 0"),
+    ("train", {"experiment": "wave", "system": {"reduced_modes": 5}},
+     "system.reduced_modes must lie in [1, 4], got 5"),
+    ("train", {"experiment": "wave", "system": {"n_grid": 3, "reduced_modes": 4}},
+     "system.reduced_modes must lie in [1, 3], got 4"),
+    ("train", {"experiment": "wave", "system": {"energy_cap": 0}},
+     "system.energy_cap must be positive and finite, got 0"),
+    ("train", {"experiment": "chain", "system": {"energy_cap": -1}},
+     "system.energy_cap must be positive and finite, got -1"),
+    ("train", {"experiment": "pendulum", "sampling": {"grid_counts": [10**400, 5]}},
+     "sampling.grid_counts must hold at most 10000000 grid points"),
+    ("train", {"experiment": "pendulum", "sampling": {"grid_counts": [100000, 100000]}},
+     "sampling.grid_counts must hold at most 10000000 grid points"),
+    ("train", {"experiment": "chain", "sampling": {"target_count": 10**7 + 1}},
+     "sampling.target_count must be <= 10000000, got 10000001"),
+    ("experiment", {"experiment": "pendulum", "test": {"count": 10**7 + 1}},
+     "test.count must be <= 10000000, got 10000001"),
 ], ids=["grid-counts-length", "zero-mass", "negative-length", "empty-chain",
         "zero-target-count", "epsilon-square-overflows", "epsilon-fourth-power-overflows",
         "epsilon-int-overflows", "zero-test-count", "empty-families", "empty-epsilons",
         "nan-delta-t", "infinite-horizon", "nan-chain-bound", "int-chain-bound-overflows",
-        "subnormal-micro-dt"])
+        "subnormal-micro-dt", "horizon-off-micro-grid", "zero-snapshot-modes",
+        "too-many-snapshots", "zero-wave-grid", "negative-wave-box", "zero-chain-q-bound",
+        "zero-chain-p-bound", "zero-reduced-modes", "reduced-modes-past-snapshots",
+        "reduced-modes-past-grid", "zero-wave-energy-cap", "negative-chain-energy-cap",
+        "grid-counts-int-overflows", "grid-too-large", "target-count-too-large",
+        "test-count-too-large"])
 def test_config_leaf_value_exit_code(tmp_path, capsys, command, config, message):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
@@ -280,8 +316,9 @@ def test_runtime_error_exit_code(tmp_path):
 
 
 def test_failed_run_leaves_manifest(tmp_path, monkeypatch):
-    # an unsatisfiable sampler acceptance rate aborts the run but the
-    # MANIFEST must record the failure
+    # an unsatisfiable sampler acceptance rate (no draw of the box has an
+    # energy below 1e-12) aborts the run but the MANIFEST must record the
+    # failure
     import symkern.data as data_mod
 
     monkeypatch.setattr(data_mod, "MAX_DRAWS", 20000)
@@ -289,7 +326,7 @@ def test_failed_run_leaves_manifest(tmp_path, monkeypatch):
     cfg.write_text(json.dumps({
         "experiment": "chain",
         "sampling": {"target_count": 50},
-        "system": {"energy_cap": -1.0},
+        "system": {"energy_cap": 1e-12},
         "delta_t_list": [0.1],
         "test": {"horizon": 1.0},
     }))

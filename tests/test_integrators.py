@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from symkern.integrators import implicit_midpoint_step, midpoint_many, propagate
+from symkern.errors import NoConvergence
+from symkern.integrators import implicit_midpoint_step, midpoint_many, propagate, step_count
 from symkern.metrics import relative_error
 from symkern.systems import Chain, Pendulum, Quadratic, jmat
 
@@ -128,3 +129,46 @@ def test_baseline_error_decreases_with_macro_step():
         base = propagate(sys_, x, dt, int(round(6.0 / dt)))
         finals.append(relative_error(base, ref, "mid").y[-1])
     assert finals[0] > finals[1] > finals[2]
+
+
+@pytest.mark.parametrize("sys_", [Pendulum(), Chain()], ids=lambda s: s.name)
+def test_scalar_step_is_the_one_row_batch(sys_):
+    # one Newton serves both paths, so the scalar step is the batched step
+    # of a one-row batch bit for bit
+    rng = np.random.default_rng(3)
+    for dt in (0.1, -0.1, 0.025, -0.3):
+        for _ in range(5):
+            x = rng.uniform(-1.5, 1.5, sys_.dim)
+            got, report = implicit_midpoint_step(sys_, x, dt)
+            assert got.tobytes() == midpoint_many(sys_, x[None], dt, 1)[0].tobytes()
+            assert report.converged
+
+
+class FlatHessian(Pendulum):
+    """A pendulum whose Newton sees a zero Hessian: plain fixed-point
+    iteration, which does not converge at a large step."""
+
+    def hess_many(self, X):
+        return np.zeros((X.shape[0], self.dim, self.dim))
+
+
+def test_newton_failure_names_the_step():
+    x = np.array([1.0, 0.0])
+    with pytest.raises(NoConvergence, match=r"^step 0: .*row 0 at residual"):
+        propagate(FlatHessian(), x, 2.0, 3)
+    with pytest.raises(NoConvergence, match=r"^step 0: .*row 1 at residual"):
+        midpoint_many(FlatHessian(), np.stack([np.zeros(2), x]), 2.0, 3)
+
+
+def test_propagate_records_solver_iterations():
+    traj = propagate(Pendulum(), np.array([0.7, -0.2]), 0.05, 6)
+    assert traj.solver_iterations.shape == (7,)
+    assert traj.solver_iterations[0] == 0 and np.all(traj.solver_iterations[1:] > 0)
+
+
+def test_step_count():
+    assert step_count(6.0, 0.1) == 60
+    assert step_count(0.1, 1e-3) == 100
+    assert step_count(6, 2) == 3
+    for span, step in ((0.15, 0.1), (0.0, 0.1), (-0.2, 0.1), (0.1, 5e-324), (1.0, 3.0)):
+        assert step_count(span, step) is None

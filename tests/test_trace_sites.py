@@ -30,24 +30,52 @@ def test_every_trace_site_resolves(monkeypatch):
     assert greedy.mixed2_field is kernels.mixed2_field
 
 
-def test_coarse_spans_of_a_desk_run(monkeypatch, tmp_path):
-    monkeypatch.syspath_prepend(PERFBENCH)
-    from tracing import Tracer
-
+def _tiny_pendulum():
     cfg = default_config("pendulum")
     cfg["sampling"]["grid_counts"] = [8, 8]
     cfg["delta_t_list"] = [0.1]
     cfg["selection"].update(families=["gaussian"], epsilons=[1.0])
     cfg["greedy"]["max_centers"] = 8
     cfg["test"].update(count=2, horizon=1.0)
+    return cfg
+
+
+def test_coarse_spans_of_a_desk_run(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from tracing import Tracer
+
     with Tracer(full=False) as tracer:
-        run_experiment(cfg, str(tmp_path))
+        run_experiment(_tiny_pendulum(), str(tmp_path))
     steps = sum(p[0] for p in tracer.probes("predictor.rollout"))
     assert steps == 2 * 10
     assert tracer.seconds("predictor.rollout") > 0
     assert tracer.calls("experiment.train_one") == 1
     # model selection trains each candidate, then train_one refits the winner
     assert tracer.calls("greedy.train_f_greedy") == 1 * (1 + 1)
+
+
+def test_desk_run_cross_checks_pass(monkeypatch, tmp_path):
+    # the counter cross-checks of a traced benchmark run: a step that
+    # bypasses a wrapped name (a scalar midpoint step, a predictor macro
+    # step) fails here
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from layers import cross_checks
+    from tracing import Tracer
+
+    cfg = _tiny_pendulum()
+    with Tracer(full=True) as tracer:
+        summary = run_experiment(cfg, str(tmp_path))
+    # the counts workloads.Desk.expected_counts derives from the config
+    steps = cfg["test"]["count"] * sum(round(cfg["test"]["horizon"] / dt)
+                                       for dt in cfg["delta_t_list"])
+    candidates = len(cfg["selection"]["families"]) * len(cfg["selection"]["epsilons"])
+    expected = {"macro_steps": steps, "baseline_steps": steps,
+                "fits": len(cfg["delta_t_list"]) * (candidates + 1)}
+    assert expected == {"macro_steps": 20, "baseline_steps": 20, "fits": 2}
+    iterations = sum(v["solver_iterations"] for v in summary["per_dt"].values())
+    checks = cross_checks(tracer, "pendulum-desk", expected, iterations)
+    assert len(checks) == 5
+    assert [(name, detail) for name, ok, detail in checks if not ok] == []
 
 
 def test_verify_synthetic_checks_pass(monkeypatch, tmp_path):
