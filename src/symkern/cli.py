@@ -180,7 +180,7 @@ def main(argv=None) -> int:
     except InvalidModel as exc:
         print(f"model error: {exc}", file=_sys.stderr)
         return 2
-    except (SymkernError, OSError, np.linalg.LinAlgError) as exc:
+    except (SymkernError, OSError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return 1
 

@@ -16,9 +16,17 @@ from .errors import ConfigError
 from .integrators import step_count
 from .kernels import FAMILIES, KernelSpec
 from .mor import MAX_SNAPSHOTS
+from .systems import MAX_DOF
 
 EXPERIMENTS = ("pendulum", "chain", "wave")
 SCALES = ("desk", "paper")
+# Physical system values lie within this factor of 1 in magnitude, so that
+# the powers the systems and samplers form (such as length**2, p**2 and the
+# wave's 1/h**2) stay finite and nonzero.
+SCALE_MAX = 1e30
+# The micro reference steps the test states over the horizon, the longest
+# micro-step run; every delta_t takes at most as many steps.
+MAX_MICRO_STEPS = 10**6
 
 # model selection trains every (family, epsilon) candidate to m_star and
 # compares validation residuals there; the default ties m_star to the center
@@ -152,10 +160,19 @@ def _check_system_and_sampling(cfg: dict):
     bound boxes and energies with, reduce over or allocate."""
     system, sampling, exp = cfg["system"], cfg["sampling"], cfg["experiment"]
     positive = {"pendulum": ("mass", "length", "gravity"),
-                "chain": ("q_max", "p_max", "energy_cap"), "wave": ("z_max", "energy_cap")}
+                "chain": ("q_max", "p_max", "energy_cap"),
+                "wave": ("length", "z_max", "energy_cap")}
+    signed = {"pendulum": (), "chain": ("alpha", "beta"), "wave": ("wave_speed",)}
     for key in positive[exp]:
         if not (system[key] > 0 and math.isfinite(system[key])):
             raise ConfigError(f"system.{key} must be positive and finite, got {system[key]}")
+        if not 1 / SCALE_MAX <= system[key] <= SCALE_MAX:
+            raise ConfigError(f"system.{key} must lie in [{1 / SCALE_MAX:g}, {SCALE_MAX:g}], "
+                              f"got {system[key]}")
+    for key in signed[exp]:
+        if abs(system[key]) > SCALE_MAX:
+            raise ConfigError(f"system.{key} must be at most {SCALE_MAX:g} in magnitude, "
+                              f"got {system[key]}")
     if exp == "pendulum":
         counts = sampling["grid_counts"]
         if len(counts) != 2 or min(counts) < 1:
@@ -164,12 +181,15 @@ def _check_system_and_sampling(cfg: dict):
         if math.prod(counts) > MAX_DRAWS:
             raise ConfigError(f"sampling.grid_counts must hold at most {MAX_DRAWS} grid points")
         return
-    if exp == "chain" and system["n"] < 1:
-        raise ConfigError(f"system.n must be >= 1, got {system['n']}")
+    dof = "n" if exp == "chain" else "n_grid"
+    if system[dof] < 1:
+        raise ConfigError(f"system.{dof} must be >= 1, got {system[dof]}")
+    if system[dof] > MAX_DOF:
+        raise ConfigError(f"system.{dof} must be <= {MAX_DOF}, got {system[dof]}")
+    if exp == "chain" and cfg["scenario"] == "B" and system["n"] < 2:
+        raise ConfigError(f"scenario B keeps p_2 <= 0 and needs system.n >= 2, got {system['n']}")
     if exp == "wave":
         modes, grid, reduced = system["snapshot_modes"], system["n_grid"], system["reduced_modes"]
-        if grid < 1:
-            raise ConfigError(f"system.n_grid must be >= 1, got {grid}")
         if not 1 <= modes <= math.isqrt(MAX_SNAPSHOTS):
             raise ConfigError("system.snapshot_modes must be >= 1 with snapshot_modes**2 <= "
                               f"{MAX_SNAPSHOTS}, got {modes}")
@@ -216,8 +236,12 @@ def validate(cfg: dict) -> dict:
             raise ConfigError(f"delta_t={dt} is not an integer multiple of micro_dt={micro}")
         if step_count(horizon, dt) is None:
             raise ConfigError(f"horizon {horizon} is not a multiple of delta_t={dt}")
-    if step_count(horizon, micro) is None:
+    micro_steps = step_count(horizon, micro)
+    if micro_steps is None:
         raise ConfigError(f"horizon {horizon} is not a multiple of micro_dt={micro}")
+    if micro_steps > MAX_MICRO_STEPS:
+        raise ConfigError(f"horizon {horizon} takes more than {MAX_MICRO_STEPS} steps of "
+                          f"micro_dt={micro}")
     _check_system_and_sampling(cfg)
     if cfg["test"]["count"] < 1:
         raise ConfigError("test.count must be >= 1")
@@ -227,6 +251,8 @@ def validate(cfg: dict) -> dict:
         raise ConfigError("validation_fraction must lie in (0, 1)")
     if cfg["greedy"]["max_centers"] < 1:
         raise ConfigError("greedy.max_centers must be >= 1")
+    if cfg["greedy"]["residual_tolerance"] < 0:
+        raise ConfigError("greedy.residual_tolerance must be >= 0")
     m_star = cfg["selection"]["m_star"]
     if m_star is not None and m_star < 1:
         raise ConfigError("selection.m_star must be >= 1 (or null for the budget)")

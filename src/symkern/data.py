@@ -1,9 +1,9 @@
 """Training data construction for the mixed-variable learning problem.
 
-Initial states are sampled (grids, seeded boxes, sine modes), filtered by
-energy level and optional half-space restriction, propagated one macro
-step with the micro-step midpoint reference, and assembled into mixed
-inputs (q0, p_dT) with difference-quotient gradient targets.
+Initial states are sampled (grids, seeded boxes), filtered by energy level
+and optional half-space restriction, propagated one macro step with the
+micro-step midpoint reference, and assembled into mixed inputs (q0, p_dT)
+with difference-quotient gradient targets.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DimensionMismatch, FilterTooTight, NotOneDOF, TooFewSamples
 from .integrators import midpoint_many, step_count
 from .surrogate import HBDataset
-from .systems import HamiltonianSystem, Wave, apply_jt
+from .systems import HamiltonianSystem, apply_jt
 
 BOX_CHUNK = 8192
 MAX_DRAWS = 10_000_000
@@ -24,28 +24,22 @@ MIN_ACCEPT_RATE = 1e-3
 
 @dataclass
 class SamplerSpec:
-    """How to draw initial states.
+    """How to draw initial states from the box bounds.
 
-    mode is one of 'grid', 'uniform_box', 'reduced_box', 'sine_modes'.
-    The energy cap is strict (<) or inclusive (<=) per energy_strict; the
+    With counts, the sample is the grid of counts[i] points per axis;
+    otherwise it is target_count seeded uniform draws from the box.  The
+    energy cap is strict (<) or inclusive (<=) per energy_strict; the
     half-space restriction keeps sign * x[coord] <= 0 and is applied after
     the energy filter.
     """
 
-    mode: str
-    bounds: list | None = None            # [(lo, hi)] per state coordinate
+    bounds: list                          # [(lo, hi)] per state coordinate
     counts: list | None = None            # grid points per axis
-    target_count: int | None = None       # accepted states for box modes
+    target_count: int | None = None       # accepted states for the box
     seed: int | None = None
-    z_max: float | None = None            # reduced_box half-width
-    modes: int | None = None              # sine_modes count B
     energy_cap: float | None = None
     energy_strict: bool = False
     halfspace: tuple | None = None        # (state coord, sign in {-1, +1})
-
-    def __post_init__(self):
-        if self.mode not in ("grid", "uniform_box", "reduced_box", "sine_modes"):
-            raise ValueError(f"unknown sampler mode {self.mode!r}")
 
 
 def _apply_filters(sys: HamiltonianSystem, states: np.ndarray, spec: SamplerSpec):
@@ -59,50 +53,25 @@ def _apply_filters(sys: HamiltonianSystem, states: np.ndarray, spec: SamplerSpec
     return states[keep]
 
 
-def _box_bounds(sys, spec):
-    if spec.mode == "reduced_box":
-        if spec.z_max is None:
-            raise ValueError("reduced_box sampler needs z_max")
-        return [(-spec.z_max, spec.z_max)] * sys.dim
-    if spec.bounds is None:
-        raise ValueError(f"{spec.mode} sampler needs bounds")
-    if len(spec.bounds) != sys.dim:
-        raise DimensionMismatch(f"{len(spec.bounds)} bounds for state dim {sys.dim}")
-    for lo, hi in spec.bounds:
-        if not lo < hi:
-            raise ValueError(f"bounds must be well ordered, got ({lo}, {hi})")
-    return [tuple(b) for b in spec.bounds]
-
-
 def sample_states(sys: HamiltonianSystem, spec: SamplerSpec) -> np.ndarray:
     """Deterministic state sample per the spec and seed; (M, 2n) array."""
-    if spec.mode == "grid":
-        bounds = _box_bounds(sys, spec)
-        if spec.counts is None or len(spec.counts) != sys.dim:
+    if len(spec.bounds) != sys.dim:
+        raise DimensionMismatch(f"{len(spec.bounds)} bounds for state dim {sys.dim}")
+    lo, hi = np.array(spec.bounds, dtype=float).T
+    if not np.all(lo < hi):
+        raise ValueError(f"bounds must be well ordered, got {spec.bounds}")
+    if spec.counts is not None:
+        if len(spec.counts) != sys.dim:
             raise ValueError("grid sampler needs one axis count per coordinate")
-        axes = [np.linspace(lo, hi, int(c)) for (lo, hi), c in zip(bounds, spec.counts)]
+        axes = [np.linspace(a, b, int(c)) for a, b, c in zip(lo, hi, spec.counts)]
         mesh = np.meshgrid(*axes, indexing="ij")
         states = np.stack([m.ravel() for m in mesh], axis=1)
         return _apply_filters(sys, states, spec)
 
-    if spec.mode == "sine_modes":
-        if not isinstance(sys, Wave):
-            raise DimensionMismatch("sine_modes sampling is defined for the wave system")
-        if not spec.modes or spec.modes < 1:
-            raise ValueError("sine_modes sampler needs modes >= 1")
-        cols = []
-        for a in range(1, spec.modes + 1):
-            for b in range(1, spec.modes + 1):
-                cols.append(np.concatenate([sys.sine_mode(a), sys.sine_mode(b)]))
-        return _apply_filters(sys, np.stack(cols), spec)
-
-    # seeded rejection sampling over a box
-    bounds = _box_bounds(sys, spec)
+    # seeded rejection sampling over the box
     if not spec.target_count or spec.target_count < 1:
         raise ValueError("box sampler needs target_count >= 1")
     rng = np.random.default_rng(spec.seed)
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
     accepted = []
     n_accepted = 0
     n_drawn = 0

@@ -9,6 +9,7 @@ baseline and the micro reference, and writes CSV/SVG/model artifacts.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import numpy as np
 
@@ -37,7 +38,7 @@ def build_system(cfg):
     if exp == "chain":
         return Chain(s["n"], s["alpha"], s["beta"]), {}
     full = Wave(s["n_grid"], s["wave_speed"], s["length"])
-    snaps = sample_states(full, SamplerSpec(mode="sine_modes", modes=s["snapshot_modes"]))
+    snaps = full.sine_snapshots(s["snapshot_modes"])
     basis = csvd_basis(snaps[:, : full.n].T, snaps[:, full.n:].T, s["reduced_modes"])
     reduced = reduce_quadratic(basis, full)
     reduced.name = "wave_reduced"
@@ -57,21 +58,19 @@ def sampler_for(cfg, sys) -> SamplerSpec:
     if exp == "pendulum":
         bounds, cap = pendulum_box(sys)
         return SamplerSpec(
-            mode="grid", bounds=bounds, counts=list(cfg["sampling"]["grid_counts"]),
+            bounds, counts=list(cfg["sampling"]["grid_counts"]),
             energy_cap=cap, energy_strict=True,
             halfspace=(1, +1) if scenario_b else None,
         )
+    n = sys.n
     if exp == "chain":
-        n = sys.n
         bounds = [(-s["q_max"], s["q_max"])] * n + [(-s["p_max"], s["p_max"])] * n
-        return SamplerSpec(
-            mode="uniform_box", bounds=bounds, target_count=cfg["sampling"]["target_count"],
-            seed=cfg["seed"], energy_cap=s["energy_cap"], energy_strict=False,
-            halfspace=(n + 1, +1) if scenario_b else None,
-        )
+    else:
+        bounds = [(-s["z_max"], s["z_max"])] * sys.dim
     return SamplerSpec(
-        mode="reduced_box", z_max=s["z_max"], target_count=cfg["sampling"]["target_count"],
-        seed=cfg["seed"], energy_cap=s["energy_cap"], energy_strict=False,
+        bounds, target_count=cfg["sampling"]["target_count"], seed=cfg["seed"],
+        energy_cap=s["energy_cap"],
+        halfspace=(n + 1, +1) if scenario_b and exp == "chain" else None,
     )
 
 
@@ -79,17 +78,15 @@ def test_states(cfg, sys):
     """Seeded test initial conditions, independent of the training draw."""
     count = cfg["test"]["count"]
     seed = cfg["seed"] + 2
-    rng = np.random.default_rng(seed)
     exp = cfg["experiment"]
+    if exp == "wave":
+        return sample_states(sys, replace(sampler_for(cfg, sys), target_count=count, seed=seed))
+    rng = np.random.default_rng(seed)
     if exp == "pendulum":
         q = rng.uniform(0.0, np.pi, count)
         return np.stack([q, np.zeros(count)], axis=1)
-    if exp == "chain":
-        q = rng.uniform(0.0, cfg["system"]["q_max"], (count, sys.n))
-        return np.concatenate([q, np.zeros((count, sys.n))], axis=1)
-    spec = SamplerSpec(mode="reduced_box", z_max=cfg["system"]["z_max"], target_count=count,
-                       seed=seed, energy_cap=cfg["system"]["energy_cap"])
-    return sample_states(sys, spec)
+    q = rng.uniform(0.0, cfg["system"]["q_max"], (count, sys.n))
+    return np.concatenate([q, np.zeros((count, sys.n))], axis=1)
 
 
 def select_model(families, epsilons, m_star, train, val):
@@ -228,7 +225,6 @@ def _run_stages(cfg, out_dir, stages, rollouts):
     horizon = cfg["test"]["horizon"]
     ref_steps = step_count(horizon, micro)
     ref_path = midpoint_many(sys_, ics, micro, ref_steps, keep_path=True)
-    ref_times = np.arange(ref_steps + 1) * micro
     stages.append("reference")
 
     rel_tagged, energy_tagged = [], []
@@ -248,7 +244,7 @@ def _run_stages(cfg, out_dir, stages, rollouts):
                                   "energy_baseline", "energy_reference")}
         iters_total = 0
         for i in range(ics.shape[0]):
-            ref_traj = Trajectory(times=ref_times, states=ref_path[:, i, :], step=micro)
+            ref_traj = Trajectory(ref_path[:, i, :], micro)
             pred = rollout(model, ics[i], steps)
             iters_total += int(np.sum(pred.solver_iterations))
             base = propagate(sys_, ics[i], dt, steps)

@@ -173,7 +173,7 @@ def train_f_greedy(kernel: KernelSpec, data: HBDataset, cfg: GreedyConfig,
     # diagonal are exact zeros of the orthogonalization, drop the roundoff.
     L = np.tril(Z[sel, :m_sel])
     coeffs = _tri_solve_upper(L.T, np.asarray(newton_coeffs))
-    surr = Surrogate(kernel, X[sel // d].copy(), (sel % d).astype(int), coeffs, d)
+    surr = Surrogate(kernel, X[sel // d].copy(), (sel % d).astype(int), coeffs)
     return surr, trace
 
 

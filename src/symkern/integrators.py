@@ -31,10 +31,13 @@ class SolveReport:
 class Trajectory:
     """States recorded at every multiple of a fixed step."""
 
-    times: np.ndarray          # (K+1,)
     states: np.ndarray         # (K+1, 2n)
     step: float
     solver_iterations: np.ndarray | None = None
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(self.states.shape[0]) * self.step
 
     @property
     def steps(self) -> int:
@@ -52,10 +55,12 @@ def _midpoint_matrices(sys, dt: float):
 
 
 def step_count(span, step) -> int | None:
-    """The n >= 1 with span = n * step to 1e-9 relative, else None."""
+    """The n >= 1 with span = n * step, else None: both n * step within
+    1e-9 * max(1, span) of span and span / step within 1e-9 of n."""
     ratio = span / step
     n = round(ratio) if math.isfinite(ratio) else 0
-    return n if n >= 1 and abs(n * step - span) <= 1e-9 * max(1.0, span) else None
+    on_grid = abs(n * step - span) <= 1e-9 * max(1.0, span) and abs(ratio - n) <= 1e-9
+    return n if n >= 1 and on_grid else None
 
 
 def _midpoint_newton(sys: HamiltonianSystem, X, dt: float, tol):
@@ -106,8 +111,7 @@ def compose(step, x0, dt: float, steps: int) -> Trajectory:
             raise NoConvergence(f"step {k}: {exc}") from exc
         states[k + 1] = x
         iters[k + 1] = report.iterations
-    return Trajectory(times=np.arange(steps + 1) * dt, states=states, step=dt,
-                      solver_iterations=iters)
+    return Trajectory(states, dt, solver_iterations=iters)
 
 
 def propagate(sys: HamiltonianSystem, x0, dt: float, steps: int) -> Trajectory:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch
-from .integrators import Trajectory
+from .integrators import Trajectory, step_count
 from .systems import HamiltonianSystem
 
 
@@ -27,9 +27,8 @@ class MetricSeries:
 
 
 def _macro_stride(macro: Trajectory, reference: Trajectory) -> int:
-    ratio = macro.step / reference.step
-    K = int(round(ratio))
-    if K < 1 or abs(K - ratio) > 1e-9:
+    K = step_count(macro.step, reference.step)
+    if K is None:
         raise GridMismatch(f"macro step {macro.step} not on the reference grid {reference.step}")
     if macro.steps * K > reference.steps:
         raise GridMismatch("reference trajectory shorter than the macro rollout")

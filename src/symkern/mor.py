@@ -9,6 +9,7 @@ columns of U are orthonormal in C^N.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,9 +27,19 @@ class ReducedBasis:
     """Symplectic basis with its symplectic inverse."""
 
     v: np.ndarray              # (2N, 2n)
-    v_plus: np.ndarray         # (2n, 2N)
-    full_n: int
-    reduced_n: int
+
+    @property
+    def full_n(self) -> int:
+        return self.v.shape[0] // 2
+
+    @property
+    def reduced_n(self) -> int:
+        return self.v.shape[1] // 2
+
+    @cached_property
+    def v_plus(self) -> np.ndarray:
+        """The (2n, 2N) symplectic inverse J_n' V' J_N."""
+        return jmat(self.reduced_n).T @ self.v.T @ jmat(self.full_n)
 
     def restrict(self, x):
         """Reduced coordinates of full states (last axis of length 2N)."""
@@ -43,10 +54,7 @@ class ReducedBasis:
 
 
 def _basis_from_modes(U: np.ndarray) -> ReducedBasis:
-    N, n = U.shape
-    V = np.block([[U.real, -U.imag], [U.imag, U.real]])
-    v_plus = jmat(n).T @ V.T @ jmat(N)
-    basis = ReducedBasis(v=V, v_plus=v_plus, full_n=N, reduced_n=n)
+    basis = ReducedBasis(np.block([[U.real, -U.imag], [U.imag, U.real]]))
     defect = basis.symplecticity_defect()
     if defect > SYMPLECTIC_TOL:
         raise RankDeficient(f"basis failed the symplectic check (defect {defect:.3e})")

@@ -34,7 +34,6 @@ STALL_RATIO = 0.9
 class PredictorModel:
     surrogate: Surrogate
     delta_t: float
-    tol_factor: float = DEFAULT_TOL_FACTOR
 
     def __post_init__(self):
         if self.surrogate.dim % 2 != 0:
@@ -124,7 +123,7 @@ def _solve_momentum(model: PredictorModel, q0, p0, p_start, tol):
     )
 
 
-def predict_step(model: PredictorModel, x0, tol_factor: float | None = None):
+def predict_step(model: PredictorModel, x0, tol_factor: float = DEFAULT_TOL_FACTOR):
     """One macro step of the kernel predictor; returns (state, report)."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.surrogate.dim,):
@@ -133,8 +132,7 @@ def predict_step(model: PredictorModel, x0, tol_factor: float | None = None):
     q0, p0 = x0[:n], x0[n:]
     if model.surrogate.size == 0:
         return x0.copy(), SolveReport(iterations=0, final_residual_norm=0.0, converged=True)
-    tol = (model.tol_factor if tol_factor is None else tol_factor) \
-        * (1.0 + np.max(np.abs(p0), initial=0.0))
+    tol = tol_factor * (1.0 + np.max(np.abs(p0), initial=0.0))
     try:
         P, g, evals, res = _solve_momentum(model, q0, p0, p0, tol)
     except NoConvergence:

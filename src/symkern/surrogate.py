@@ -68,11 +68,10 @@ class Surrogate:
     centers: np.ndarray        # (m, dim)
     coords: np.ndarray         # (m,) int
     coeffs: np.ndarray         # (m,)
-    dim: int
 
     @staticmethod
     def empty(kernel: KernelSpec, dim: int) -> "Surrogate":
-        return Surrogate(kernel, np.zeros((0, dim)), np.zeros(0, dtype=int), np.zeros(0), dim)
+        return Surrogate(kernel, np.zeros((0, dim)), np.zeros(0, dtype=int), np.zeros(0))
 
     @staticmethod
     def from_functionals(kernel, functionals, coeffs) -> "Surrogate":
@@ -80,7 +79,11 @@ class Surrogate:
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.size != coords.size:
             raise DimensionMismatch("coefficient count does not match functional count")
-        return Surrogate(kernel, centers, coords, coeffs, centers.shape[1])
+        return Surrogate(kernel, centers, coords, coeffs)
+
+    @property
+    def dim(self) -> int:
+        return self.centers.shape[1]
 
     @property
     def size(self) -> int:
@@ -343,4 +346,4 @@ def surrogate_from_dict(doc) -> tuple[Surrogate, float]:
     if not (delta_t > 0 and np.isfinite(delta_t)):
         raise InvalidModel(f"delta_T must be positive and finite, got {delta_t}")
     coords = np.array(coords, dtype=int)
-    return Surrogate(kernel, centers, coords, coeffs, dim), delta_t
+    return Surrogate(kernel, centers, coords, coeffs), delta_t

@@ -12,6 +12,10 @@ import numpy as np
 from .errors import DimensionMismatch, EmptySample, NotQuadratic
 from .linalg import as_matrix, expm, sym_eigen
 
+# Largest chain n or wave n_grid a config may ask for.  The wave keeps dense
+# 2n x 2n matrices, 32 MB each at this size, which is the paper's n_grid.
+MAX_DOF = 1000
+
 
 def jmat(n: int):
     """Canonical Poisson matrix [[0, I], [-I, 0]] of size 2n."""
@@ -40,8 +44,7 @@ class HamiltonianSystem:
 
     name = "generic"
     n = 0                      # degrees of freedom
-    quadratic = False
-    constant_hessian = False
+    quadratic = False          # True for H(x) = x' H x / 2, whose Hessian is constant
 
     @property
     def dim(self) -> int:
@@ -177,7 +180,6 @@ class Quadratic(HamiltonianSystem):
 
     name = "quadratic"
     quadratic = True
-    constant_hessian = True
 
     def __init__(self, hmat):
         H = as_matrix(hmat, square=True, name="hmat")
@@ -233,14 +235,19 @@ class Wave(Quadratic):
         i = np.arange(1, self.n_grid + 1)
         return np.sin(k * np.pi * i / (self.n_grid + 1))
 
+    def sine_snapshots(self, modes: int):
+        """States (sine_mode(a), sine_mode(b)) for a, b = 1..modes, a major."""
+        return np.stack([np.concatenate([self.sine_mode(a), self.sine_mode(b)])
+                         for a in range(1, modes + 1) for b in range(1, modes + 1)])
+
 
 def step_size_bound(sys: HamiltonianSystem, domain_sample, horizon: float) -> float:
     """Largest certified macro step min(T, log 2 / L) for the mixed chart.
 
     L is the supremum of the Hessian spectral norm: analytic for the
     pendulum (|cos| <= 1) and for the chain (Gershgorin bound on ||B||^2
-    with elongations from the sample's bounding box), exact for constant
-    Hessians, and a sample max otherwise.
+    with elongations from the sample's bounding box), exact for quadratic
+    systems, and a sample max otherwise.
     """
     sample = np.atleast_2d(np.asarray(domain_sample, dtype=float))
     if sample.size == 0:
@@ -253,7 +260,7 @@ def step_size_bound(sys: HamiltonianSystem, domain_sample, horizon: float) -> fl
         q = sample[:, : sys.n]
         d_sup = sys.elongation_sup(q.min(axis=0), q.max(axis=0))
         lips = max(1.0, sys.b_norm_sq_bound() * (sys.alpha + 3.0 * sys.beta * d_sup**2))
-    elif sys.constant_hessian:
+    elif sys.quadratic:
         w, _ = sym_eigen(sys.hess(sample[0]))
         lips = float(np.max(np.abs(w)))
     else:

@@ -224,7 +224,6 @@ def synthetic_error_norm(kernel, target, sel_centers, sel_coords, sel_targets):
             np.vstack([target.centers, sel_centers]),
             np.concatenate([target.coords, sel_coords]),
             np.concatenate([target.coeffs, -coeffs]),
-            target.dim,
         )
     K = mixed2_pairs(kernel, diff.centers, diff.coords, diff.centers, diff.coords)
     return float(np.sqrt(max(quadratic_form(diff.coeffs, K, diff.coeffs), 0.0)))

@@ -106,12 +106,12 @@ def test_criterion_02_long_horizon_gap(pendulum_run):
 def in_domain_states(system, cfg, count, seed):
     if isinstance(system, Pendulum):
         bounds = [(-np.pi, np.pi), (-2 * np.sqrt(9.81), 2 * np.sqrt(9.81))]
-        spec = SamplerSpec(mode="uniform_box", bounds=bounds, target_count=count,
+        spec = SamplerSpec(bounds, target_count=count,
                            seed=seed, energy_cap=2 * 9.81, energy_strict=True)
     else:
         s = cfg["system"]
         bounds = [(-s["q_max"], s["q_max"])] * 3 + [(-s["p_max"], s["p_max"])] * 3
-        spec = SamplerSpec(mode="uniform_box", bounds=bounds, target_count=count,
+        spec = SamplerSpec(bounds, target_count=count,
                            seed=seed, energy_cap=s["energy_cap"])
     return sample_states(system, spec)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from symkern.cli import main
+from symkern.systems import MAX_DOF
 
 MINI = {
     "experiment": "pendulum",
@@ -192,8 +193,10 @@ def test_config_leaf_type_exit_code(tmp_path, capsys, override, where):
      "system.q_max: integer too large for a float"),
     ("train", {"experiment": "pendulum", "micro_dt": 5e-324},
      "delta_t=0.1 is not an integer multiple of micro_dt=5e-324"),
-    ("experiment", {"experiment": "pendulum", "micro_dt": 0.001000000005},
-     "horizon 6.0 is not a multiple of micro_dt=0.001000000005"),
+    ("experiment", {"experiment": "pendulum", "micro_dt": 0.001000000000005},
+     "horizon 6.0 is not a multiple of micro_dt=0.001000000000005"),
+    ("experiment", {"experiment": "pendulum", "micro_dt": 0.00100000000005},
+     "delta_t=0.1 is not an integer multiple of micro_dt=0.00100000000005"),
     ("train", {"experiment": "wave", "system": {"snapshot_modes": 0}},
      "system.snapshot_modes must be >= 1 with snapshot_modes**2 <= 64, got 0"),
     ("train", {"experiment": "wave", "system": {"snapshot_modes": 9}},
@@ -223,16 +226,38 @@ def test_config_leaf_type_exit_code(tmp_path, capsys, override, where):
      "sampling.target_count must be <= 10000000, got 10000001"),
     ("experiment", {"experiment": "pendulum", "test": {"count": 10**7 + 1}},
      "test.count must be <= 10000000, got 10000001"),
+    ("train", {"experiment": "wave", "system": {"length": 0}},
+     "system.length must be positive and finite, got 0"),
+    ("train", {"experiment": "wave", "system": {"n_grid": MAX_DOF + 1}},
+     f"system.n_grid must be <= {MAX_DOF}, got {MAX_DOF + 1}"),
+    ("train", {"experiment": "chain", "system": {"n": MAX_DOF + 1}},
+     f"system.n must be <= {MAX_DOF}, got {MAX_DOF + 1}"),
+    ("train", {"experiment": "pendulum", "system": {"length": 1e300}},
+     "system.length must lie in [1e-30, 1e+30], got 1e+300"),
+    ("train", {"experiment": "wave", "system": {"length": 1e-300}},
+     "system.length must lie in [1e-30, 1e+30], got 1e-300"),
+    ("train", {"experiment": "wave", "system": {"wave_speed": -1e31}},
+     "system.wave_speed must be at most 1e+30 in magnitude, got -1e+31"),
+    ("train", {"experiment": "chain", "scenario": "B", "system": {"n": 1}},
+     "scenario B keeps p_2 <= 0 and needs system.n >= 2, got 1"),
+    ("train", {"experiment": "chain", "greedy": {"residual_tolerance": -1.0}},
+     "greedy.residual_tolerance must be >= 0"),
+    ("train", {"experiment": "pendulum", "micro_dt": 1e-300},
+     "horizon 6.0 takes more than 1000000 steps of micro_dt=1e-300"),
 ], ids=["grid-counts-length", "zero-mass", "negative-length", "empty-chain",
         "zero-target-count", "epsilon-square-overflows", "epsilon-fourth-power-overflows",
         "epsilon-int-overflows", "zero-test-count", "empty-families", "empty-epsilons",
         "nan-delta-t", "infinite-horizon", "nan-chain-bound", "int-chain-bound-overflows",
-        "subnormal-micro-dt", "horizon-off-micro-grid", "zero-snapshot-modes",
+        "subnormal-micro-dt", "horizon-off-micro-grid", "micro-dt-ratio-off-grid",
+        "zero-snapshot-modes",
         "too-many-snapshots", "zero-wave-grid", "negative-wave-box", "zero-chain-q-bound",
         "zero-chain-p-bound", "zero-reduced-modes", "reduced-modes-past-snapshots",
         "reduced-modes-past-grid", "zero-wave-energy-cap", "negative-chain-energy-cap",
         "grid-counts-int-overflows", "grid-too-large", "target-count-too-large",
-        "test-count-too-large"])
+        "test-count-too-large", "zero-wave-length", "wave-grid-past-max-dof",
+        "chain-past-max-dof", "pendulum-length-too-large", "wave-length-too-small",
+        "wave-speed-too-large", "chain-scenario-b-one-mass", "negative-residual-tolerance",
+        "micro-steps-past-limit"])
 def test_config_leaf_value_exit_code(tmp_path, capsys, command, config, message):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
@@ -336,3 +361,21 @@ def test_failed_run_leaves_manifest(tmp_path, monkeypatch):
     manifest = json.loads((out / "MANIFEST.json").read_text())
     assert manifest["status"] == "failed"
     assert "FilterTooTight" in manifest["error"]
+
+
+def test_memory_error_exit_code(tmp_path, capsys, monkeypatch):
+    import symkern.experiment as experiment_mod
+
+    def out_of_memory(cfg):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    monkeypatch.setattr(experiment_mod, "build_system", out_of_memory)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(MINI))
+    out = tmp_path / "train"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: MemoryError: Unable to allocate 8.00 TiB "
+                                       "for an array\n")
+    manifest = json.loads((out / "MANIFEST.json").read_text())
+    assert manifest["status"] == "failed" and manifest["stages"] == []
+    assert manifest["error"].startswith("MemoryError: ")

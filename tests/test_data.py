@@ -19,7 +19,7 @@ PEND_BOUNDS = [(-np.pi, np.pi), (-P_MAX, P_MAX)]
 
 
 def test_strict_energy_cap_excludes_boundary():
-    spec = SamplerSpec(mode="grid", bounds=PEND_BOUNDS, counts=[3, 3],
+    spec = SamplerSpec(PEND_BOUNDS, counts=[3, 3],
                        energy_cap=2 * 9.81, energy_strict=True)
     # the 3x3 grid contains (0, p_max) with H exactly 2g and (0, 0) with H=0
     states = sample_states(PEND, spec)
@@ -30,14 +30,14 @@ def test_strict_energy_cap_excludes_boundary():
 
 
 def test_inclusive_cap_keeps_boundary():
-    spec = SamplerSpec(mode="grid", bounds=PEND_BOUNDS, counts=[3, 3],
+    spec = SamplerSpec(PEND_BOUNDS, counts=[3, 3],
                        energy_cap=2 * 9.81, energy_strict=False)
     states = sample_states(PEND, spec)
     assert any(np.allclose(s, [0.0, P_MAX]) for s in states)
 
 
 def test_energy_filter_rejects_something():
-    spec = SamplerSpec(mode="grid", bounds=PEND_BOUNDS, counts=[21, 21],
+    spec = SamplerSpec(PEND_BOUNDS, counts=[21, 21],
                        energy_cap=2 * 9.81, energy_strict=True)
     states = sample_states(PEND, spec)
     assert 0 < states.shape[0] < 21 * 21
@@ -45,7 +45,7 @@ def test_energy_filter_rejects_something():
 
 
 def test_halfspace_filter():
-    spec = SamplerSpec(mode="grid", bounds=PEND_BOUNDS, counts=[11, 11],
+    spec = SamplerSpec(PEND_BOUNDS, counts=[11, 11],
                        energy_cap=2 * 9.81, energy_strict=True, halfspace=(1, +1))
     states = sample_states(PEND, spec)
     assert np.all(states[:, 1] <= 0.0)
@@ -53,7 +53,7 @@ def test_halfspace_filter():
 
 def test_box_sampler_deterministic():
     chain = Chain()
-    spec = SamplerSpec(mode="uniform_box", bounds=[(-0.5, 0.5)] * 6, target_count=50,
+    spec = SamplerSpec([(-0.5, 0.5)] * 6, target_count=50,
                        seed=42, energy_cap=0.5)
     a = sample_states(chain, spec)
     b = sample_states(chain, spec)
@@ -64,7 +64,7 @@ def test_box_sampler_deterministic():
 
 def test_filter_too_tight(monkeypatch):
     monkeypatch.setattr(data_mod, "MAX_DRAWS", 20000)
-    spec = SamplerSpec(mode="uniform_box", bounds=[(-0.5, 0.5)] * 2, target_count=10,
+    spec = SamplerSpec([(-0.5, 0.5)] * 2, target_count=10,
                        seed=0, energy_cap=-1.0)
     with pytest.raises(FilterTooTight):
         sample_states(PEND, spec)
@@ -72,8 +72,7 @@ def test_filter_too_tight(monkeypatch):
 
 def test_sine_mode_sampler():
     w = Wave(n_grid=30)
-    spec = SamplerSpec(mode="sine_modes", modes=2)
-    states = sample_states(w, spec)
+    states = w.sine_snapshots(2)
     assert states.shape == (4, 60)
     assert np.allclose(states[0][: w.n], w.sine_mode(1))
     assert np.allclose(states[3][w.n:], w.sine_mode(2))
@@ -150,3 +149,16 @@ def test_separability_needs_one_dof():
     ds = build_hb_dataset(Chain(), np.zeros((2, 6)), 0.1, 1e-2)
     with pytest.raises(NotOneDOF):
         separability_diagnostic(ds)
+
+
+def test_counts_pick_the_grid_and_their_absence_the_box():
+    grid = sample_states(PEND, SamplerSpec(PEND_BOUNDS, counts=[3, 4], target_count=5, seed=1))
+    axes = np.meshgrid(np.linspace(-np.pi, np.pi, 3), np.linspace(-P_MAX, P_MAX, 4),
+                       indexing="ij")
+    assert np.array_equal(grid, np.stack([a.ravel() for a in axes], axis=1))
+    box = sample_states(PEND, SamplerSpec(PEND_BOUNDS, target_count=5, seed=1))
+    lo, hi = np.array(PEND_BOUNDS).T
+    draws = np.random.default_rng(1).uniform(lo, hi, size=(data_mod.BOX_CHUNK, 2))
+    assert np.array_equal(box, draws[:5])
+    with pytest.raises(ValueError, match="box sampler needs target_count"):
+        sample_states(PEND, SamplerSpec(PEND_BOUNDS, seed=1))

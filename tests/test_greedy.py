@@ -207,7 +207,7 @@ def test_rkhs_error_equals_refit_bitwise(fam, d, block, monkeypatch):
     reps = rng.uniform(-2.0, 2.0, (6, d))
     coords = rng.integers(0, d, 6)
     reps[5], coords[5] = reps[2], (coords[2] + 1) % d
-    target = Surrogate(spec, reps, coords, rng.standard_normal(6), d)
+    target = Surrogate(spec, reps, coords, rng.standard_normal(6))
     pool = np.vstack([reps[:5], rng.uniform(-2.0, 2.0, (15, d))])
     data = make_dataset(pool, target.gradient_many(pool))
     _, trace = train_f_greedy(spec, data, GreedyConfig(max_centers=30),

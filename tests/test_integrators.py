@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from symkern.errors import NoConvergence
-from symkern.integrators import implicit_midpoint_step, midpoint_many, propagate, step_count
+from symkern.integrators import (
+    Trajectory,
+    implicit_midpoint_step,
+    midpoint_many,
+    propagate,
+    step_count,
+)
 from symkern.metrics import relative_error
 from symkern.systems import Chain, Pendulum, Quadratic, jmat
 
@@ -172,3 +178,21 @@ def test_step_count():
     assert step_count(6, 2) == 3
     for span, step in ((0.15, 0.1), (0.0, 0.1), (-0.2, 0.1), (0.1, 5e-324), (1.0, 3.0)):
         assert step_count(span, step) is None
+
+
+def test_trajectory_times_are_step_multiples():
+    traj = propagate(Pendulum(), np.array([0.3, 0.0]), 0.05, 6)
+    assert traj.times.tobytes() == (np.arange(7) * 0.05).tobytes()
+    # a reference trajectory cut from a batched path, as the experiment does
+    path = midpoint_many(Pendulum(), np.array([[0.3, 0.0], [0.1, 0.2]]), 1e-3, 40,
+                         keep_path=True)
+    ref = Trajectory(path[:, 1, :], 1e-3)
+    assert ref.times.tobytes() == (np.arange(41) * 1e-3).tobytes()
+    assert ref.steps == 40
+
+
+def test_step_count_applies_both_tolerances():
+    # the span check alone accepts this micro step; its ratio is 5e-9 off 100
+    assert step_count(0.1, 0.00100000000005) is None
+    assert step_count(0.1, 0.001000000000005) == 100
+    assert step_count(6.0, 0.001000000000005) is None

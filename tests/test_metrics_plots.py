@@ -10,7 +10,7 @@ from symkern.systems import Quadratic
 
 def traj(states, step):
     states = np.asarray(states, dtype=float)
-    return Trajectory(times=np.arange(states.shape[0]) * step, states=states, step=step)
+    return Trajectory(states=states, step=step)
 
 
 def test_relative_error_hand_value():

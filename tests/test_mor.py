@@ -117,3 +117,14 @@ def test_reduced_midpoint_conserves_energy():
     path = midpoint_many(red, z0[None, :], 0.05, 100, keep_path=True)[:, 0, :]
     H = red.energy_many(path)
     assert np.max(np.abs(H - H[0])) <= 1e-10 * max(1.0, abs(H[0]))
+
+
+def test_basis_sizes_and_inverse_derive_from_v():
+    # the values csvd_basis stored before they were derived from v
+    w, Q, P = wave_snapshots(n_grid=30, modes=2)
+    basis = csvd_basis(Q, P, 3)
+    assert (basis.full_n, basis.reduced_n) == (30, 3)
+    assert basis.v.shape == (60, 6)
+    assert np.array_equal(basis.v_plus, jmat(3).T @ basis.v.T @ jmat(30))
+    assert basis.v_plus is basis.v_plus
+    assert np.array_equal(w.sine_snapshots(2).T, np.vstack([Q, P]))

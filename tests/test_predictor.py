@@ -136,7 +136,7 @@ def steep_model(seed):
     coeffs = rng.standard_normal(m) * 10
     dt = float(rng.uniform(0.16, 1.4))
     x0 = rng.uniform(-1, 1, 2)
-    surr = Surrogate(KernelSpec("gaussian", eps), centers, coords, coeffs, 2)
+    surr = Surrogate(KernelSpec("gaussian", eps), centers, coords, coeffs)
     return PredictorModel(surr, dt), x0
 
 
@@ -165,7 +165,7 @@ def assert_solves_update(model, x0, x1):
     Q = q0 + dT ds/dp(q0, P)."""
     n, dt = model.n, model.delta_t
     q0, p0, P = x0[:n], x0[n:], x1[n:]
-    tol = model.tol_factor * (1.0 + np.max(np.abs(p0)))
+    tol = predictor.DEFAULT_TOL_FACTOR * (1.0 + np.max(np.abs(p0)))
     tol_eff = max(tol, dt * model.gradient_noise_floor)
     g = model.surrogate.gradient_precise(np.concatenate([q0, P]))
     assert np.max(np.abs(P - (p0 - dt * g[:n]))) <= tol_eff
@@ -192,3 +192,9 @@ def test_restart_from_explicit_guess(solver_spies):
     assert solver_spies["linear_solves"] >= 1
     assert report.converged
     assert_solves_update(model, x0, x1)
+
+
+def test_rollout_times_are_step_multiples():
+    model, _, _ = harmonic_model(m=25, dt=0.05)
+    traj = rollout(model, np.array([0.5, 0.0]), 9)
+    assert traj.times.tobytes() == (np.arange(10) * 0.05).tobytes()

@@ -264,7 +264,7 @@ def test_pointwise_error_bounded_by_power_function():
     s_m = fit(GAUSS, sub, [u.gradient(f.center)[f.coord] for f in sub])
     err = Surrogate(GAUSS, np.vstack([u.centers, s_m.centers]),
                     np.concatenate([u.coords, s_m.coords]),
-                    np.concatenate([u.coeffs, -s_m.coeffs]), 2)
+                    np.concatenate([u.coeffs, -s_m.coeffs]))
     e_norm = rkhs_norm(GAUSS, err)
     for _ in range(100):
         x = rng.uniform(-2, 2, 2)
@@ -294,3 +294,14 @@ def test_dimension_checks():
     s = Surrogate.empty(GAUSS, 2)
     with pytest.raises(DimensionMismatch):
         ref.surrogate_value(s, np.zeros(3))
+
+
+def test_dim_is_the_center_width():
+    assert Surrogate.empty(GAUSS, 5).dim == 5
+    rng = np.random.default_rng(42)
+    s = Surrogate.from_functionals(GAUSS, random_functionals(rng, 3, 4), rng.standard_normal(3))
+    assert s.dim == 4
+    loaded, _ = surrogate_from_dict(json.loads(json.dumps(surrogate_to_dict(s, 0.1))))
+    assert loaded.dim == 4
+    empty, _ = surrogate_from_dict(surrogate_to_dict(Surrogate.empty(GAUSS, 6), 0.1))
+    assert empty.dim == 6 and empty.size == 0
