@@ -145,70 +145,72 @@ def _leaves(cfg: dict, schema: dict, path: str = ""):
 
 
 def _check_types(leaves):
-    """Every leaf has the kind of its default, and no number is NaN or
-    infinite (JSON files may spell them NaN and Infinity)."""
+    """Every leaf has the kind of its default, and every number leaf holds
+    a finite float (JSON files may spell NaN, Infinity and integers of any
+    size; an integer in a number leaf is used as a float)."""
     for name, v, r in leaves:
-        accepts = _ACCEPTS.get(_kind(r), (_kind(r),))
-        if _kind(v) not in accepts:
-            raise ConfigError(f"{name}: expected {' or '.join(accepts)}, got {_kind(v)}")
-        if _kind(v) == "a number" and not math.isfinite(v):
+        kind, ref = _kind(v), _kind(r)
+        accepts = _ACCEPTS.get(ref, (ref,))
+        if kind not in accepts:
+            raise ConfigError(f"{name}: expected {' or '.join(accepts)}, got {kind}")
+        if kind == "a number" and not math.isfinite(v):
             raise ConfigError(f"{name}: expected a finite number, got {v}")
+        if ref == "a number" and abs(v) > sys.float_info.max:
+            raise ConfigError(f"{name}: integer too large for a float")
 
 
-def _check_system_and_sampling(cfg: dict):
-    """The system parameters and sample sizes the samplers divide by,
-    bound boxes and energies with, reduce over or allocate."""
-    system, sampling, exp = cfg["system"], cfg["sampling"], cfg["experiment"]
-    positive = {"pendulum": ("mass", "length", "gravity"),
-                "chain": ("q_max", "p_max", "energy_cap"),
-                "wave": ("length", "z_max", "energy_cap")}
-    signed = {"pendulum": (), "chain": ("alpha", "beta"), "wave": ("wave_speed",)}
-    for key in positive[exp]:
-        if not (system[key] > 0 and math.isfinite(system[key])):
-            raise ConfigError(f"system.{key} must be positive and finite, got {system[key]}")
-        if not 1 / SCALE_MAX <= system[key] <= SCALE_MAX:
-            raise ConfigError(f"system.{key} must lie in [{1 / SCALE_MAX:g}, {SCALE_MAX:g}], "
-                              f"got {system[key]}")
-    for key in signed[exp]:
-        if abs(system[key]) > SCALE_MAX:
-            raise ConfigError(f"system.{key} must be at most {SCALE_MAX:g} in magnitude, "
-                              f"got {system[key]}")
-    if exp == "pendulum":
-        counts = sampling["grid_counts"]
-        if len(counts) != 2 or min(counts) < 1:
-            raise ConfigError("sampling.grid_counts must hold one positive count for each of "
-                              f"the 2 state coordinates, got {counts}")
-        if math.prod(counts) > MAX_DRAWS:
-            raise ConfigError(f"sampling.grid_counts must hold at most {MAX_DRAWS} grid points")
-        return
-    dof = "n" if exp == "chain" else "n_grid"
-    if system[dof] < 1:
-        raise ConfigError(f"system.{dof} must be >= 1, got {system[dof]}")
-    if system[dof] > MAX_DOF:
-        raise ConfigError(f"system.{dof} must be <= {MAX_DOF}, got {system[dof]}")
-    if exp == "chain" and cfg["scenario"] == "B" and system["n"] < 2:
-        raise ConfigError(f"scenario B keeps p_2 <= 0 and needs system.n >= 2, got {system['n']}")
-    if exp == "wave":
-        modes, grid, reduced = system["snapshot_modes"], system["n_grid"], system["reduced_modes"]
-        if not 1 <= modes <= math.isqrt(MAX_SNAPSHOTS):
-            raise ConfigError("system.snapshot_modes must be >= 1 with snapshot_modes**2 <= "
-                              f"{MAX_SNAPSHOTS}, got {modes}")
-        if not 1 <= reduced <= min(modes ** 2, grid):
-            raise ConfigError(f"system.reduced_modes must lie in [1, {min(modes ** 2, grid)}], "
-                              f"got {reduced}")
-    count = sampling["target_count"]
-    if count < 1:
-        raise ConfigError(f"sampling.target_count must be >= 1, got {count}")
-    if count > MAX_DRAWS:
-        raise ConfigError(f"sampling.target_count must be <= {MAX_DRAWS}, got {count}")
+def _ranges(cfg: dict) -> dict:
+    """Inclusive (lo, hi) by leaf name for every bounded number or integer
+    leaf.  Some bounds read the scenario or the wave's sizes, so the leaves
+    must have their types first."""
+    inf = math.inf
+    pos, signed = (1 / SCALE_MAX, SCALE_MAX), (-SCALE_MAX, SCALE_MAX)
+    table = {"seed": (0, inf), "test.count": (1, MAX_DRAWS), "greedy.max_centers": (1, inf),
+             "greedy.residual_tolerance": (0, inf), "selection.m_star": (1, inf)}
+    if cfg["experiment"] == "pendulum":
+        table.update({"system.mass": pos, "system.length": pos, "system.gravity": pos})
+        table.update((f"sampling.grid_counts[{i}]", (1, inf))
+                     for i in range(len(cfg["sampling"]["grid_counts"])))
+        return table
+    # one state can never be split into training and validation
+    table["sampling.target_count"] = (2, MAX_DRAWS)
+    if cfg["experiment"] == "chain":
+        # scenario B keeps p_2 <= 0, so it needs a second mass
+        table.update({"system.n": (2 if cfg["scenario"] == "B" else 1, MAX_DOF),
+                      "system.alpha": signed, "system.beta": signed, "system.q_max": pos,
+                      "system.p_max": pos, "system.energy_cap": pos})
+    else:
+        s = cfg["system"]
+        table.update({"system.n_grid": (1, MAX_DOF), "system.wave_speed": signed,
+                      "system.length": pos, "system.z_max": pos, "system.energy_cap": pos,
+                      "system.snapshot_modes": (1, math.isqrt(MAX_SNAPSHOTS)),
+                      "system.reduced_modes": (1, min(s["snapshot_modes"]**2, s["n_grid"]))})
+    return table
+
+
+def _bound(x) -> str:
+    return str(x) if isinstance(x, int) else f"{x:g}"
 
 
 def validate(cfg: dict) -> dict:
-    """Type and cross-field checks; returns cfg on success."""
+    """Type, range and cross-field checks; returns cfg on success."""
     if cfg["experiment"] not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {cfg['experiment']!r}")
     leaves = list(_leaves(cfg, default_config(cfg["experiment"], cfg["scale"])))
     _check_types(leaves)
+    if cfg["scenario"] not in ("A", "B"):
+        raise ConfigError(f"scenario must be 'A' or 'B', got {cfg['scenario']!r}")
+    ranges = _ranges(cfg)
+    # leaves come in config order, so a wave size is checked before the
+    # reduced_modes bound derived from it
+    for name, v, _ in leaves:
+        if name not in ranges or v is None:
+            continue
+        lo, hi = ranges[name]
+        if not lo <= v <= hi:
+            rule = (f"be >= {_bound(lo)}" if hi == math.inf
+                    else f"lie in [{_bound(lo)}, {_bound(hi)}]")
+            raise ConfigError(f"{name} must {rule}, got {v}")
     for key in ("families", "epsilons"):
         if not cfg["selection"][key]:
             raise ConfigError(f"selection.{key} must be nonempty")
@@ -216,15 +218,18 @@ def validate(cfg: dict) -> dict:
         for eps in cfg["selection"]["epsilons"]:
             try:
                 KernelSpec(fam, float(eps))
-            except (ValueError, OverflowError) as exc:
+            except ValueError as exc:
                 raise ConfigError(f"selection: {exc}") from None
-    # an integer leaf of a number default is used as a float; the selection
-    # grid above reports its own epsilons
-    for name, v, r in leaves:
-        if _kind(r) == "a number" and abs(v) > sys.float_info.max:
-            raise ConfigError(f"{name}: integer too large for a float")
-    if cfg["scenario"] not in ("A", "B"):
-        raise ConfigError(f"scenario must be 'A' or 'B', got {cfg['scenario']!r}")
+    if cfg["experiment"] == "pendulum":
+        counts = cfg["sampling"]["grid_counts"]
+        if len(counts) != 2:
+            raise ConfigError("sampling.grid_counts must hold one count for each of the 2 "
+                              f"state coordinates, got {counts}")
+        if not 2 <= math.prod(counts) <= MAX_DRAWS:
+            raise ConfigError(f"sampling.grid_counts must hold between 2 and {MAX_DRAWS} "
+                              "grid points")
+    if not 0.0 < cfg["validation_fraction"] < 1.0:
+        raise ConfigError("validation_fraction must lie in (0, 1)")
     micro = cfg["micro_dt"]
     if not micro > 0:
         raise ConfigError("micro_dt must be positive")
@@ -242,22 +247,6 @@ def validate(cfg: dict) -> dict:
     if micro_steps > MAX_MICRO_STEPS:
         raise ConfigError(f"horizon {horizon} takes more than {MAX_MICRO_STEPS} steps of "
                           f"micro_dt={micro}")
-    _check_system_and_sampling(cfg)
-    if cfg["test"]["count"] < 1:
-        raise ConfigError("test.count must be >= 1")
-    if cfg["test"]["count"] > MAX_DRAWS:
-        raise ConfigError(f"test.count must be <= {MAX_DRAWS}, got {cfg['test']['count']}")
-    if not 0.0 < cfg["validation_fraction"] < 1.0:
-        raise ConfigError("validation_fraction must lie in (0, 1)")
-    if cfg["greedy"]["max_centers"] < 1:
-        raise ConfigError("greedy.max_centers must be >= 1")
-    if cfg["greedy"]["residual_tolerance"] < 0:
-        raise ConfigError("greedy.residual_tolerance must be >= 0")
-    m_star = cfg["selection"]["m_star"]
-    if m_star is not None and m_star < 1:
-        raise ConfigError("selection.m_star must be >= 1 (or null for the budget)")
-    if cfg["seed"] < 0:
-        raise ConfigError("seed must be a nonnegative integer")
     return cfg
 
 

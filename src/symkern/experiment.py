@@ -29,20 +29,20 @@ from .systems import Chain, Pendulum, Wave
 
 
 def build_system(cfg):
-    """Instantiate the configured system; the wave benchmark returns the
-    reduced quadratic system plus its basis context."""
+    """(system, basis): the wave benchmark returns the reduced quadratic
+    system and its symplectic basis, the others a basis of None."""
     s = cfg["system"]
     exp = cfg["experiment"]
     if exp == "pendulum":
-        return Pendulum(s["mass"], s["length"], s["gravity"]), {}
+        return Pendulum(s["mass"], s["length"], s["gravity"]), None
     if exp == "chain":
-        return Chain(s["n"], s["alpha"], s["beta"]), {}
+        return Chain(s["n"], s["alpha"], s["beta"]), None
     full = Wave(s["n_grid"], s["wave_speed"], s["length"])
     snaps = full.sine_snapshots(s["snapshot_modes"])
     basis = csvd_basis(snaps[:, : full.n].T, snaps[:, full.n:].T, s["reduced_modes"])
     reduced = reduce_quadratic(basis, full)
     reduced.name = "wave_reduced"
-    return reduced, {"full_system": full, "basis": basis}
+    return reduced, basis
 
 
 def pendulum_box(sys: Pendulum):
@@ -193,10 +193,10 @@ def run_experiment(cfg, out_dir, rollouts: bool = True):
 
 
 def _run_stages(cfg, out_dir, stages, rollouts):
-    sys_, ctx = build_system(cfg)
+    sys_, basis = build_system(cfg)
     stages.append("system")
-    if "basis" in ctx:
-        _write_basis(out_dir, ctx["basis"])
+    if basis is not None:
+        _write_basis(out_dir, basis)
 
     states = sample_states(sys_, sampler_for(cfg, sys_))
     stages.append(f"sampled:{states.shape[0]}")

@@ -110,37 +110,21 @@ def cholesky_solve(A, b):
 
 
 def sym_eigen(A):
-    """Eigendecomposition of a symmetric matrix.
+    """Eigendecomposition of a real symmetric or complex Hermitian matrix.
 
-    Returns (eigenvalues descending, eigenvectors as columns).
+    Returns (real eigenvalues descending, orthonormal eigenvectors as columns).
     """
-    A = as_matrix(A, square=True, name="A")
+    A = np.asarray(A)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DimensionMismatch(f"A: expected a square 2-d array, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("A: non-finite entries rejected")
     try:
         w, V = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     order = np.argsort(w)[::-1]
     return w[order], V[:, order]
-
-
-def herm_eigen_small(A):
-    """Eigendecomposition of a small complex Hermitian matrix (size <= 64).
-
-    Returns (real eigenvalues descending, unitary eigenvectors as columns).
-    """
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"expected square matrix, got shape {A.shape}")
-    if A.shape[0] > 64:
-        raise DimensionMismatch(f"herm_eigen_small limited to size 64, got {A.shape[0]}")
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
-        raise ValueError("non-finite entries rejected")
-    try:
-        w, V = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    order = np.argsort(w)[::-1]
-    return w[order].real, V[:, order]
 
 
 # [6/6] Pade coefficients for exp(x): numerator sum_k c_k x^k.

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, NotQuadratic, RankDeficient, TooManySnapshots
-from .linalg import herm_eigen_small, max_abs
+from .linalg import max_abs, sym_eigen
 from .systems import Quadratic, jmat
 
 MAX_SNAPSHOTS = 64
@@ -78,7 +78,7 @@ def csvd_basis(Q, P, reduced_n: int) -> ReducedBasis:
     if not (1 <= reduced_n <= min(M, N)):
         raise DimensionMismatch(f"reduced_n={reduced_n} outside [1, min(M, N)={min(M, N)}]")
     Y = Q + 1j * P
-    w, W = herm_eigen_small(Y.conj().T @ Y)
+    w, W = sym_eigen(Y.conj().T @ Y)
     sigma = np.sqrt(np.clip(w, 0.0, None))
     if sigma[0] == 0.0 or sigma[reduced_n - 1] <= RANK_TOL * sigma[0]:
         raise RankDeficient(

@@ -75,6 +75,10 @@ class HamiltonianSystem:
     def hess_many(self, X):
         raise NotImplementedError
 
+    def hess_bound(self, sample) -> float:
+        """Bound on the Hessian spectral norm over the box of an (M, 2n) sample."""
+        raise NotImplementedError
+
 
 class Pendulum(HamiltonianSystem):
     """Planar pendulum, H = p^2 / (2 m l^2) + m g l (1 - cos q)."""
@@ -107,7 +111,7 @@ class Pendulum(HamiltonianSystem):
         H[:, 1, 1] = 1.0 / self._ml2
         return H
 
-    def hess_sup_norm(self) -> float:
+    def hess_bound(self, sample) -> float:
         """Analytic sup of the Hessian spectral norm (|cos| <= 1)."""
         return max(self._mgl, 1.0 / self._ml2)
 
@@ -163,16 +167,15 @@ class Chain(HamiltonianSystem):
         H[:, self.n:, self.n:] = np.eye(self.n)
         return H
 
-    def elongation_sup(self, q_lo, q_hi) -> float:
-        """sup over the box [q_lo, q_hi] of the max spring elongation."""
-        amax = np.maximum(np.abs(np.asarray(q_lo, dtype=float)),
-                          np.abs(np.asarray(q_hi, dtype=float)))
-        return float(np.max(np.abs(self.B) @ amax))
-
-    def b_norm_sq_bound(self) -> float:
-        """Gershgorin bound on ||B||_2^2 from the tridiagonal B'B."""
-        BtB = self.B.T @ self.B
-        return float(np.max(np.sum(np.abs(BtB), axis=1)))
+    def hess_bound(self, sample) -> float:
+        """Gershgorin bound on ||B||_2^2 (from the tridiagonal B'B) times the
+        stiffest spring at the largest elongation over the sample's q-box;
+        at least 1, the kinetic block's norm."""
+        q = sample[:, : self.n]
+        amax = np.maximum(np.abs(q.min(axis=0)), np.abs(q.max(axis=0)))
+        d_sup = float(np.max(np.abs(self.B) @ amax))
+        b_norm_sq = float(np.max(np.sum(np.abs(self.B.T @ self.B), axis=1)))
+        return max(1.0, b_norm_sq * (self.alpha + 3.0 * self.beta * d_sup**2))
 
 
 class Quadratic(HamiltonianSystem):
@@ -201,6 +204,11 @@ class Quadratic(HamiltonianSystem):
     def hess_many(self, X):
         X = self._check(X)
         return np.broadcast_to(self.hmat, (X.shape[0],) + self.hmat.shape).copy()
+
+    def hess_bound(self, sample) -> float:
+        """The constant Hessian's exact spectral norm."""
+        w, _ = sym_eigen(self.hmat)
+        return float(np.max(np.abs(w)))
 
 
 def wave_laplacian(n_grid: int, length: float = 1.0):
@@ -244,30 +252,15 @@ class Wave(Quadratic):
 def step_size_bound(sys: HamiltonianSystem, domain_sample, horizon: float) -> float:
     """Largest certified macro step min(T, log 2 / L) for the mixed chart.
 
-    L is the supremum of the Hessian spectral norm: analytic for the
-    pendulum (|cos| <= 1) and for the chain (Gershgorin bound on ||B||^2
-    with elongations from the sample's bounding box), exact for quadratic
-    systems, and a sample max otherwise.
+    L bounds the Hessian spectral norm over the sample's bounding box
+    (the system's hess_bound).
     """
     sample = np.atleast_2d(np.asarray(domain_sample, dtype=float))
     if sample.size == 0:
         raise EmptySample("step_size_bound needs at least one state")
     if sample.shape[1] != sys.dim:
         raise DimensionMismatch(f"sample dim {sample.shape[1]} != {sys.dim}")
-    if isinstance(sys, Pendulum):
-        lips = sys.hess_sup_norm()
-    elif isinstance(sys, Chain):
-        q = sample[:, : sys.n]
-        d_sup = sys.elongation_sup(q.min(axis=0), q.max(axis=0))
-        lips = max(1.0, sys.b_norm_sq_bound() * (sys.alpha + 3.0 * sys.beta * d_sup**2))
-    elif sys.quadratic:
-        w, _ = sym_eigen(sys.hess(sample[0]))
-        lips = float(np.max(np.abs(w)))
-    else:
-        lips = 0.0
-        for x in sample:
-            w, _ = sym_eigen(sys.hess(x))
-            lips = max(lips, float(np.max(np.abs(w))))
+    lips = sys.hess_bound(sample)
     if lips == 0.0:
         return float(horizon)
     return float(min(horizon, np.log(2.0) / lips))

@@ -214,8 +214,7 @@ def test_criterion_08_resonance_set():
 
 def test_criterion_09_mor_structure(wave_run):
     cfg, out, _ = wave_run
-    sys_, ctx = build_system(cfg)
-    basis = ctx["basis"]
+    sys_, basis = build_system(cfg)
     defect = basis.symplecticity_defect()
     from symkern.integrators import midpoint_many
 

@@ -1,9 +1,16 @@
 import json
+import re
 
 import pytest
 
-from symkern.config import default_config, load_config, validate
+from symkern.config import (EXPERIMENTS, SCALES, _kind, _leaves, _ranges, default_config,
+                            load_config, validate)
 from symkern.errors import ConfigError
+
+# Number leaves whose rules involve other leaves or open intervals, which
+# validate spells out instead of taking from the range table.
+CROSS_FIELD = {"micro_dt", "validation_fraction", "delta_t_list", "test.horizon",
+               "selection.epsilons"}
 
 
 def write(tmp_path, doc):
@@ -89,3 +96,16 @@ def test_integer_past_digit_limit(tmp_path):
     path.write_text('{"experiment": "pendulum", "seed": ' + "1" * 5000 + "}")
     with pytest.raises(ConfigError, match="valid JSON"):
         load_config(str(path))
+
+
+def test_every_numeric_leaf_is_range_checked():
+    # a new number or integer leaf needs a range or an explicit rule
+    for exp in EXPERIMENTS:
+        for scale in SCALES:
+            cfg = default_config(exp, scale)
+            ranges = _ranges(cfg)
+            leaves = list(_leaves(cfg, cfg))
+            for name, _, ref in leaves:
+                if _kind(ref) in ("a number", "an integer", "null"):
+                    assert name in ranges or re.sub(r"\[\d+\]$", "", name) in CROSS_FIELD, name
+            assert set(ranges) <= {name for name, _, _ in leaves}

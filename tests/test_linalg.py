@@ -8,7 +8,6 @@ from symkern.linalg import (
     _tri_solve_upper,
     cholesky_solve,
     expm,
-    herm_eigen_small,
     max_abs,
     sym_eigen,
 )
@@ -97,24 +96,19 @@ def test_sym_eigen_reconstruction():
 
 
 def test_herm_eigen_identity():
-    w, _ = herm_eigen_small(np.eye(2, dtype=complex))
+    w, _ = sym_eigen(np.eye(2, dtype=complex))
     assert np.allclose(w, [1.0, 1.0])
 
 
 def test_herm_eigen_pauli_y():
-    w, V = herm_eigen_small(np.array([[0.0, -1j], [1j, 0.0]]))
+    w, V = sym_eigen(np.array([[0.0, -1j], [1j, 0.0]]))
     assert np.allclose(w, [1.0, -1.0])
     assert max_abs(np.abs(V.conj().T @ V - np.eye(2))) <= 1e-12
 
 
 def test_herm_eigen_real_diagonal():
-    w, _ = herm_eigen_small(np.diag([5.0, 2.0]).astype(complex))
+    w, _ = sym_eigen(np.diag([5.0, 2.0]).astype(complex))
     assert np.allclose(w, [5.0, 2.0])
-
-
-def test_herm_eigen_size_cap():
-    with pytest.raises(DimensionMismatch):
-        herm_eigen_small(np.eye(65, dtype=complex))
 
 
 def test_expm_zero():

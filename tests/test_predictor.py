@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from symkern.data import build_hb_dataset
 from symkern.greedy import GreedyConfig, train_f_greedy
 from symkern import predictor
-from symkern.kernels import KernelSpec
+from symkern.kernels import FAMILIES, KernelSpec
 from symkern.predictor import (
     PredictorModel,
     contraction_margin,
@@ -93,6 +95,32 @@ def test_symplecticity_defect_pendulum_model():
     for _ in range(5):
         x = rng.uniform(-0.8, 0.8, 2)
         assert symplecticity_defect(model, x) <= 1e-5
+
+
+@st.composite
+def small_models(draw):
+    """1-5 random centers in d = 2 or 4 with a macro step and a start state."""
+    d = draw(st.sampled_from([2, 4]))
+    m = draw(st.integers(1, 5))
+    unit = st.floats(-1.0, 1.0)
+    centers = np.array(draw(st.lists(st.lists(unit, min_size=d, max_size=d),
+                                     min_size=m, max_size=m)))
+    coords = np.array(draw(st.lists(st.integers(0, d - 1), min_size=m, max_size=m)))
+    coeffs = np.array(draw(st.lists(unit, min_size=m, max_size=m)))
+    kernel = KernelSpec(draw(st.sampled_from(FAMILIES)), draw(st.floats(0.5, 2.0)))
+    surr = Surrogate(kernel, centers, coords, coeffs)
+    x0 = np.array(draw(st.lists(unit, min_size=d, max_size=d)))
+    return PredictorModel(surr, draw(st.floats(0.01, 0.1))), x0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(small_models())
+def test_symplecticity_defect_random_small_surrogate(case):
+    # where the fixed-point map is certified contractive, every macro step
+    # of any surrogate is symplectic up to finite-difference error
+    model, x0 = case
+    assume(contraction_margin(model, [x0]) < 0.5)
+    assert symplecticity_defect(model, x0) <= 1e-5
 
 
 def test_determinism():

@@ -10,6 +10,8 @@ time the coarse spans record).
 
 import os
 
+import pytest
+
 from symkern import greedy, kernels
 from symkern.config import default_config
 from symkern.experiment import run_experiment
@@ -30,9 +32,12 @@ def test_every_trace_site_resolves(monkeypatch):
     assert greedy.mixed2_field is kernels.mixed2_field
 
 
-def _tiny_pendulum():
-    cfg = default_config("pendulum")
-    cfg["sampling"]["grid_counts"] = [8, 8]
+def _tiny(experiment):
+    cfg = default_config(experiment)
+    if experiment == "pendulum":
+        cfg["sampling"]["grid_counts"] = [8, 8]
+    else:
+        cfg["sampling"]["target_count"] = 40
     cfg["delta_t_list"] = [0.1]
     cfg["selection"].update(families=["gaussian"], epsilons=[1.0])
     cfg["greedy"]["max_centers"] = 8
@@ -45,7 +50,7 @@ def test_coarse_spans_of_a_desk_run(monkeypatch, tmp_path):
     from tracing import Tracer
 
     with Tracer(full=False) as tracer:
-        run_experiment(_tiny_pendulum(), str(tmp_path))
+        run_experiment(_tiny("pendulum"), str(tmp_path))
     steps = sum(p[0] for p in tracer.probes("predictor.rollout"))
     assert steps == 2 * 10
     assert tracer.seconds("predictor.rollout") > 0
@@ -54,15 +59,16 @@ def test_coarse_spans_of_a_desk_run(monkeypatch, tmp_path):
     assert tracer.calls("greedy.train_f_greedy") == 1 * (1 + 1)
 
 
-def test_desk_run_cross_checks_pass(monkeypatch, tmp_path):
+@pytest.mark.parametrize("experiment", ["pendulum", "chain", "wave"])
+def test_desk_run_cross_checks_pass(monkeypatch, tmp_path, experiment):
     # the counter cross-checks of a traced benchmark run: a step that
     # bypasses a wrapped name (a scalar midpoint step, a predictor macro
-    # step) fails here
+    # step) or a changed number of greedy fits fails here
     monkeypatch.syspath_prepend(PERFBENCH)
     from layers import cross_checks
     from tracing import Tracer
 
-    cfg = _tiny_pendulum()
+    cfg = _tiny(experiment)
     with Tracer(full=True) as tracer:
         summary = run_experiment(cfg, str(tmp_path))
     # the counts workloads.Desk.expected_counts derives from the config
@@ -73,7 +79,7 @@ def test_desk_run_cross_checks_pass(monkeypatch, tmp_path):
                 "fits": len(cfg["delta_t_list"]) * (candidates + 1)}
     assert expected == {"macro_steps": 20, "baseline_steps": 20, "fits": 2}
     iterations = sum(v["solver_iterations"] for v in summary["per_dt"].values())
-    checks = cross_checks(tracer, "pendulum-desk", expected, iterations)
+    checks = cross_checks(tracer, f"{experiment}-desk", expected, iterations)
     assert len(checks) == 5
     assert [(name, detail) for name, ok, detail in checks if not ok] == []
 
