@@ -95,6 +95,8 @@ def _cmd_predict(args):
         x0 = np.array([float(v) for v in args.x0.split(",")], dtype=float)
     except ValueError:
         raise UsageError(f"--x0 must be comma-separated numbers, got {args.x0!r}") from None
+    if not np.all(np.isfinite(x0)):
+        raise UsageError(f"--x0 must be finite numbers, got {args.x0!r}")
     if args.steps < 0:
         raise UsageError(f"--steps must be nonnegative, got {args.steps}")
     surr, delta_t = _read_model(args.model)
@@ -137,6 +139,11 @@ def _cmd_diagnose(args):
 def _cmd_check_bounds(args):
     cfg = load_config(args.config, scale=args.scale, seed=args.seed)
     sys_, _ = build_system(cfg)
+    if args.model:
+        surr, delta_t = _read_model(args.model)
+        if surr.dim != sys_.dim:
+            raise UsageError(f"--model has state dim {surr.dim}, the config's system "
+                             f"{sys_.name} has {sys_.dim}")
     states = sample_states(sys_, sampler_for(cfg, sys_))
     horizon = cfg["test"]["horizon"]
     bound = step_size_bound(sys_, states, horizon)
@@ -148,7 +155,6 @@ def _cmd_check_bounds(args):
             det_d, resonant = resonance_check(sys_, dt)
             print(f"  dT={dt}: det D = {det_d:.6e} resonant={resonant}")
     if args.model:
-        surr, delta_t = _read_model(args.model)
         model = PredictorModel(surr, delta_t)
         sample = states[: min(50, states.shape[0])]
         margin = contraction_margin(model, sample)

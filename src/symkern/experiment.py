@@ -94,7 +94,8 @@ def select_model(families, epsilons, m_star, train, val):
 
     Candidates run in canonical family order with epsilons ascending, so
     ties resolve to the earlier family and the smaller shape parameter.
-    Returns (kernel, surrogate, table rows).
+    Only the best candidate's fit is kept.  Returns (kernel, (surrogate,
+    trace) of its fit, table rows).
     """
     rows = []
     best = None
@@ -103,15 +104,17 @@ def select_model(families, epsilons, m_star, train, val):
         for eps in sorted(epsilons):
             spec = KernelSpec(fam, float(eps))
             try:
-                surr, _ = train_f_greedy(spec, train, GreedyConfig(max_centers=m_star))
-                train_e = max_residual_error(surr, train)
-                val_e = max_residual_error(surr, val)
+                fit = train_f_greedy(spec, train, GreedyConfig(max_centers=m_star))
+                train_e = max_residual_error(fit[0], train)
+                val_e = max_residual_error(fit[0], val)
             except SymkernError as exc:
                 rows.append((fam, eps, "", "", f"failed:{type(exc).__name__}"))
                 continue
             rows.append((fam, eps, train_e, val_e, ""))
             if best is None or val_e < best[0]:
-                best = (val_e, spec, surr)
+                best = (val_e, spec, fit)
+            # a losing fit's Newton factor is not held through the next fit
+            del fit
     if best is None:
         raise AllCandidatesFailed("every (family, epsilon) candidate failed to train")
     return best[1], best[2], rows
@@ -142,17 +145,23 @@ def train_one(cfg, sys_, states, dt, out_dir, sel_rows):
     train, val = split_train_validation(data, cfg["validation_fraction"], cfg["seed"] + 1)
     sel = cfg["selection"]
     m_star = sel["m_star"] if sel["m_star"] is not None else center_budget(cfg)
-    kspec, _, rows = select_model(sel["families"], sel["epsilons"], m_star, train, val)
+    kspec, winner, rows = select_model(sel["families"], sel["epsilons"], m_star, train, val)
     for fam, eps, tr, va, note in rows:
         chosen = "selected" if (fam, eps) == (kspec.family, kspec.epsilon) else note
         sel_rows.append((dt, fam, eps, tr, va, chosen))
 
+    # the budget fit reuses the winner's picks when they are the ones it
+    # would make (m_star at the budget, no residual under the tolerance)
+    # and then only replays the validation pool
     surr, trace = train_f_greedy(
         kspec, train,
         GreedyConfig(max_centers=center_budget(cfg),
                      residual_tolerance=cfg["greedy"]["residual_tolerance"]),
-        validation=val,
+        validation=val, picks=winner,
     )
+    # the trace is held until the rollouts; its Newton factor only served
+    # the replay
+    trace.newton_factor = None
     write_csv(os.path.join(out_dir, f"greedy_trace_dt{tag}.csv"),
               ["iter", "selected_index", "coord", "max_residual", "power_value",
                "rkhs_error"], trace.rows())

@@ -8,7 +8,7 @@ the selected-functional Gram matrix is never refactorized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,10 +46,14 @@ class GreedyTrace:
     the power function at the pick, val_residual the residual over the
     validation pool, rkhs_error the native-space error (synthetic targets
     only).  The residuals of the completed surrogate land in the final_*
-    fields.
+    fields.  newton_coeffs holds c_m per pick and newton_factor the Newton
+    triangular factor L = tril(Z[sel, :m]); with the picks and b_m
+    (power_value) they are all a validation replay needs.  max_m is the
+    fit's cap on the centers.
     """
 
     dim: int
+    max_m: int
     point_index: list = field(default_factory=list)
     coord: list = field(default_factory=list)
     max_residual: list = field(default_factory=list)
@@ -58,6 +62,8 @@ class GreedyTrace:
     val_residual: list = field(default_factory=list)
     final_train_residual: float | None = None
     final_val_residual: float | None = None
+    newton_coeffs: list = field(default_factory=list)
+    newton_factor: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __len__(self):
         return len(self.point_index)
@@ -87,23 +93,46 @@ class GreedyTrace:
 
 def train_f_greedy(kernel: KernelSpec, data: HBDataset, cfg: GreedyConfig,
                    validation: HBDataset | None = None,
-                   synthetic_target: Surrogate | None = None):
+                   synthetic_target: Surrogate | None = None,
+                   picks: tuple | None = None):
     """Greedy minimum-norm interpolation of the derivative data.
 
     At every iteration the functional with the largest residual is added
     (ties by lowest candidate index), the interpolant is extended through
     the Newton basis, and the trace is appended.  Selection ends at
     max_centers, when the residual drops below the tolerance, or when the
-    best candidate's power value falls under POWER_CUTOFF.
+    best candidate's power value falls under POWER_CUTOFF.  The validation
+    residuals are replayed over the picks once selection has ended.
+
+    picks is the (surrogate, trace) of an earlier fit of this kernel to
+    this data.  When that fit ran under the same cap on the centers and
+    none of its residuals fell below cfg's tolerance, this fit would pick
+    the same functionals, so its surrogate and trace are returned with
+    the validation replayed onto a copy of the trace; otherwise picks is
+    ignored and the fit runs.
 
     Returns (surrogate, trace).
     """
     if data.count == 0:
         raise EmptyDataset("training dataset is empty")
+    max_m = min(cfg.max_centers, data.count * data.dim)
+    # a fit under the same cap that no residual under the tolerance cut
+    # short makes the same picks
+    if (picks is not None and synthetic_target is None and picks[1].max_m == max_m
+            and all(a >= cfg.residual_tolerance for a in picks[1].max_residual)):
+        surr, trace = picks[0], replace(picks[1], val_residual=[])
+    else:
+        surr, trace = _select(kernel, data, max_m, cfg.residual_tolerance, synthetic_target)
+    if validation is not None and validation.count > 0:
+        _replay_validation(kernel, data.inputs, trace, validation)
+    return surr, trace
+
+
+def _select(kernel, data, max_m, tolerance, synthetic_target):
+    """The greedy loop over the training pool; returns (surrogate, trace)."""
     X = data.inputs
     d = data.dim
     n_cand = X.shape[0] * d
-    max_m = min(cfg.max_centers, n_cand)
     if synthetic_target is not None:
         Y = synthetic_target.gradient_many(X)
         error_norm = TargetErrorNorm(kernel, synthetic_target, max_m)
@@ -116,19 +145,12 @@ def train_f_greedy(kernel: KernelSpec, data: HBDataset, cfg: GreedyConfig,
     Z = np.empty((n_cand, max_m))
     available = np.ones(n_cand, dtype=bool)
     selected: list[int] = []
-    newton_coeffs: list[float] = []
-    trace = GreedyTrace(dim=d)
-
-    track_val = validation is not None and validation.count > 0
-    if track_val:
-        Xv = validation.inputs
-        rv = validation.targets.ravel().copy()
-        Zv = np.empty((rv.size, max_m))
+    trace = GreedyTrace(dim=d, max_m=max_m)
 
     for m in range(max_m):
         i_star = int(np.argmax(np.where(available, np.abs(r), -1.0)))
         a_m = float(np.abs(r[i_star]))
-        if a_m < cfg.residual_tolerance:
+        if a_m < tolerance:
             break
         b_m = float(np.sqrt(max(p2[i_star], 0.0)))
         if b_m < POWER_CUTOFF:
@@ -139,8 +161,6 @@ def train_f_greedy(kernel: KernelSpec, data: HBDataset, cfg: GreedyConfig,
 
         trace.max_residual.append(a_m)
         trace.power_value.append(b_m)
-        if track_val:
-            trace.val_residual.append(float(np.max(np.abs(rv))))
 
         j_star, a_star = divmod(i_star, d)
         col = mixed2_field(kernel, X, X[j_star], a_star).ravel()
@@ -150,31 +170,46 @@ def train_f_greedy(kernel: KernelSpec, data: HBDataset, cfg: GreedyConfig,
         p2 -= z * z
         Z[:, m] = z
 
-        if track_val:
-            col_v = mixed2_field(kernel, Xv, X[j_star], a_star).ravel()
-            zv = (col_v - Zv[:, :m] @ Z[i_star, :m]) / b_m
-            rv -= c_m * zv
-            Zv[:, m] = zv
-
         available[i_star] = False
         selected.append(i_star)
-        newton_coeffs.append(float(c_m))
+        trace.newton_coeffs.append(float(c_m))
         trace.point_index.append(j_star)
         trace.coord.append(a_star)
 
     trace.final_train_residual = float(np.max(np.abs(r)))
-    if track_val:
-        trace.final_val_residual = float(np.max(np.abs(rv)))
     m_sel = len(selected)
     if m_sel == 0:
         return Surrogate.empty(kernel, d), trace
     sel = np.asarray(selected)
     # Newton triangular factor of the selected Gram: entries above the
     # diagonal are exact zeros of the orthogonalization, drop the roundoff.
-    L = np.tril(Z[sel, :m_sel])
-    coeffs = _tri_solve_upper(L.T, np.asarray(newton_coeffs))
+    trace.newton_factor = np.tril(Z[sel, :m_sel])
+    coeffs = _tri_solve_upper(trace.newton_factor.T, np.asarray(trace.newton_coeffs))
     surr = Surrogate(kernel, X[sel // d].copy(), (sel % d).astype(int), coeffs)
     return surr, trace
+
+
+def _replay_validation(kernel, X, trace, validation):
+    """Fill the trace's validation residuals from its picks alone.
+
+    Pick m's validation column is orthogonalized with row m of the Newton
+    factor, L[m, :m] = Z[pick, :m], and takes off c_m times itself: the
+    operations the training loop runs on its own pool, on the same values,
+    so the residuals match a validation pool carried through the loop bit
+    for bit.  Zv keeps the loop's width max_m, and so its memory layout.
+    """
+    Xv = validation.inputs
+    rv = validation.targets.ravel().copy()
+    Zv = np.empty((rv.size, trace.max_m))
+    L = trace.newton_factor
+    for m, (j, a, b_m, c_m) in enumerate(zip(trace.point_index, trace.coord,
+                                             trace.power_value, trace.newton_coeffs)):
+        trace.val_residual.append(float(np.max(np.abs(rv))))
+        col_v = mixed2_field(kernel, Xv, X[j], a).ravel()
+        zv = (col_v - Zv[:, :m] @ L[m, :m]) / b_m
+        rv -= c_m * zv
+        Zv[:, m] = zv
+    trace.final_val_residual = float(np.max(np.abs(rv)))
 
 
 def residual_vector(s: Surrogate, data: HBDataset):

@@ -12,7 +12,15 @@ live here too.
 
 import numpy as np
 
-from symkern.kernels import COINCIDENT_R2, LONG, _check_pair, profile_d1_zero, profile_derivs
+from symkern.greedy import POWER_CUTOFF
+from symkern.kernels import (
+    COINCIDENT_R2,
+    LONG,
+    _check_pair,
+    mixed2_self,
+    profile_d1_zero,
+    profile_derivs,
+)
 from symkern.linalg import cholesky_factor
 from symkern.surrogate import Surrogate
 
@@ -227,3 +235,41 @@ def synthetic_error_norm(kernel, target, sel_centers, sel_coords, sel_targets):
         )
     K = mixed2_pairs(kernel, diff.centers, diff.coords, diff.centers, diff.coords)
     return float(np.sqrt(max(quadratic_form(diff.coeffs, K, diff.coeffs), 0.0)))
+
+
+def greedy_validation_in_loop(kernel, data, max_centers, validation, tolerance=0.0):
+    """The f-greedy loop with the validation pool extended next to the
+    training pool at every pick.  Returns the trace fields by name."""
+    X, d = data.inputs, data.dim
+    max_m = min(max_centers, X.shape[0] * d)
+    r = data.targets.ravel().copy()
+    rv = validation.targets.ravel().copy()
+    p2 = np.full(r.size, mixed2_self(kernel))
+    Z, Zv = np.empty((r.size, max_m)), np.empty((rv.size, max_m))
+    available = np.ones(r.size, dtype=bool)
+    out = {k: [] for k in ("point_index", "coord", "max_residual", "power_value",
+                           "val_residual")}
+    for m in range(max_m):
+        i = int(np.argmax(np.where(available, np.abs(r), -1.0)))
+        a_m = float(np.abs(r[i]))
+        b_m = float(np.sqrt(max(p2[i], 0.0)))
+        if a_m < tolerance or b_m < POWER_CUTOFF:
+            break
+        out["max_residual"].append(a_m)
+        out["power_value"].append(b_m)
+        out["val_residual"].append(float(np.max(np.abs(rv))))
+        j, a = divmod(i, d)
+        z = (mixed2_field(kernel, X, X[j], a).ravel() - Z[:, :m] @ Z[i, :m]) / b_m
+        zv = (mixed2_field(kernel, validation.inputs, X[j], a).ravel()
+              - Zv[:, :m] @ Z[i, :m]) / b_m
+        c_m = r[i] / b_m
+        r -= c_m * z
+        rv -= c_m * zv
+        p2 -= z * z
+        Z[:, m], Zv[:, m] = z, zv
+        available[i] = False
+        out["point_index"].append(j)
+        out["coord"].append(a)
+    out["final_train_residual"] = float(np.max(np.abs(r)))
+    out["final_val_residual"] = float(np.max(np.abs(rv)))
+    return out

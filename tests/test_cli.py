@@ -275,6 +275,8 @@ def test_config_leaf_value_exit_code(tmp_path, capsys, command, config, message)
     ("a,b", "2", "usage error: --x0 must be comma-separated numbers, got 'a,b'\n"),
     ("0.1,0.2,0.3", "2", "usage error: --x0 has 3 entries, the model state has 2\n"),
     ("0.1,0.2", "-1", "usage error: --steps must be nonnegative, got -1\n"),
+    ("nan,0", "2", "usage error: --x0 must be finite numbers, got 'nan,0'\n"),
+    ("inf,0", "2", "usage error: --x0 must be finite numbers, got 'inf,0'\n"),
 ])
 def test_predict_bad_input_exit_code(mini_run, tmp_path, capsys, x0, steps, message):
     _, out = mini_run
@@ -336,6 +338,32 @@ def test_check_bounds_bad_model_exit_code(mini_run, tmp_path, capsys):
     rc = main(["check-bounds", "--config", str(cfg_path), "--model", str(model)])
     assert rc == 2
     assert capsys.readouterr().err == "model error: 1 coefficient(s) for 2 functional(s)\n"
+
+
+CHAIN_MODEL = _model_text(dim=6, functionals=[{"center": [0.1] * 6, "coord": 0}],
+                          coeffs=[1.0])
+
+
+@pytest.mark.parametrize("model_text, config, message", [
+    (CHAIN_MODEL, None, "--model has state dim 6, the config's system pendulum has 2"),
+    (None, {"experiment": "chain"}, "--model has state dim 2, the config's system chain has 6"),
+], ids=["chain-model-pendulum-config", "pendulum-model-chain-config"])
+def test_check_bounds_model_dim_mismatch(mini_run, tmp_path, capsys, model_text, config,
+                                         message):
+    # the dims are compared before any output: no bound lines, no traceback
+    cfg_path, out = mini_run
+    model = out / "model_dt0.1.json"
+    if model_text is not None:
+        model = tmp_path / "model.json"
+        model.write_text(model_text)
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+    rc = main(["check-bounds", "--config", str(cfg_path), "--model", str(model)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
 
 
 def test_runtime_error_exit_code(tmp_path):

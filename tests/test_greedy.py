@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import kernel_reference as ref
-from symkern import kernels
+from symkern import greedy, kernels
 from symkern.errors import EmptyDataset, InsufficientTrace
 from symkern.greedy import (
     GreedyConfig,
@@ -182,6 +182,83 @@ def test_determinism():
     s2, t2 = train_f_greedy(GAUSS, data, GreedyConfig(max_centers=15))
     assert t1.point_index == t2.point_index and t1.coord == t2.coord
     assert np.array_equal(s1.coeffs, s2.coeffs)
+
+
+REPLAY_FIELDS = ("point_index", "coord", "max_residual", "power_value", "val_residual",
+                 "final_train_residual", "final_val_residual")
+
+
+def _train_val(seed, n_points, twins=False):
+    """Training and validation sets; with twins every training point comes
+    twice with the same target, so the power values of the second copies
+    fall to the rounding floor and selection ends at POWER_CUTOFF."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.5, 1.5, (n_points, 2))
+    targets = rng.standard_normal((n_points, 2))
+    if twins:
+        pts, targets = np.vstack([pts, pts]), np.vstack([targets, targets])
+    val_pts = rng.uniform(-1.5, 1.5, (7, 2))
+    return make_dataset(pts, targets), make_dataset(val_pts, rng.standard_normal((7, 2)))
+
+
+def _count_selections(monkeypatch):
+    calls = []
+    select = greedy._select
+    monkeypatch.setattr(greedy, "_select", lambda *args: calls.append(1) or select(*args))
+    return calls
+
+
+def _assert_same_fit(fit, other):
+    (s1, t1), (s2, t2) = fit, other
+    for name in ("centers", "coords", "coeffs"):
+        assert np.array_equal(getattr(s1, name), getattr(s2, name)), name
+    for name in REPLAY_FIELDS:
+        assert getattr(t1, name) == getattr(t2, name), name
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+@pytest.mark.parametrize("stop", ["cap", "power_cutoff"])
+def test_budget_fit_replays_the_winners_picks(fam, stop, monkeypatch):
+    # the budget fit on the winner's picks only replays the validation
+    # pool, and matches both a full fit and the loop that carries
+    # the validation pool through every pick, bit for bit
+    train, val = _train_val(50, 6, twins=True) if stop == "power_cutoff" else _train_val(51, 9)
+    spec = KernelSpec(fam, 1.0)
+    cfg = GreedyConfig(max_centers=40 if stop == "power_cutoff" else 10)
+    winner = train_f_greedy(spec, train, cfg)
+    calls = _count_selections(monkeypatch)
+    reused = train_f_greedy(spec, train, cfg, validation=val, picks=winner)
+    assert calls == []
+    full = train_f_greedy(spec, train, cfg, validation=val)
+    assert calls == [1]
+    _assert_same_fit(reused, full)
+    loop = ref.greedy_validation_in_loop(spec, train, cfg.max_centers, val)
+    for name in REPLAY_FIELDS:
+        assert getattr(reused[1], name) == loop[name], name
+    # 24 candidates in the twin pool: with no tolerance only the power
+    # cutoff ends selection before the cap
+    assert len(reused[1]) == 10 if stop == "cap" else len(reused[1]) < 24
+    assert winner[1].val_residual == [] and winner[1].final_val_residual is None
+
+
+@pytest.mark.parametrize("case", ["m_star_below_budget", "tolerance_cuts", "tolerance_holds"])
+def test_budget_fit_runs_unless_the_picks_repeat(case, monkeypatch):
+    train, val = _train_val(52, 9)
+    winner_cfg = GreedyConfig(max_centers=6 if case == "m_star_below_budget" else 12)
+    winner = train_f_greedy(GAUSS, train, winner_cfg)
+    residuals = winner[1].max_residual
+    tol = {"m_star_below_budget": 0.0,
+           "tolerance_cuts": float(np.nextafter(residuals[4], np.inf)),
+           "tolerance_holds": 0.5 * min(residuals)}[case]
+    cfg = GreedyConfig(max_centers=12, residual_tolerance=tol)
+    calls = _count_selections(monkeypatch)
+    budget = train_f_greedy(GAUSS, train, cfg, validation=val, picks=winner)
+    assert calls == ([] if case == "tolerance_holds" else [1])
+    _assert_same_fit(budget, train_f_greedy(GAUSS, train, cfg, validation=val))
+    loop = ref.greedy_validation_in_loop(GAUSS, train, 12, val, tolerance=tol)
+    for name in REPLAY_FIELDS:
+        assert getattr(budget[1], name) == loop[name], name
+    assert len(budget[1]) <= 4 if case == "tolerance_cuts" else len(budget[1]) == 12
 
 
 def test_empty_dataset_rejected():
