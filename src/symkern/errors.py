@@ -21,10 +21,6 @@ class Overflow(SymkernError, ArithmeticError):
     pass
 
 
-class InvalidCoordinate(SymkernError, ValueError):
-    pass
-
-
 class DuplicateFunctional(SymkernError, ValueError):
     pass
 

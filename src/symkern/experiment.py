@@ -159,9 +159,6 @@ def train_one(cfg, sys_, states, dt, out_dir, sel_rows):
                      residual_tolerance=cfg["greedy"]["residual_tolerance"]),
         validation=val, picks=winner,
     )
-    # the trace is held until the rollouts; its Newton factor only served
-    # the replay
-    trace.newton_factor = None
     write_csv(os.path.join(out_dir, f"greedy_trace_dt{tag}.csv"),
               ["iter", "selected_index", "coord", "max_residual", "power_value",
                "rkhs_error"], trace.rows())

@@ -15,9 +15,10 @@ import numpy as np
 from .errors import EmptyDataset, InsufficientTrace
 from .kernels import KernelSpec, mixed2_field, mixed2_self
 from .linalg import _tri_solve_upper
-from .surrogate import HBDataset, Surrogate, TargetErrorNorm
-# The from-scratch forms of TargetErrorNorm, kept importable under these
-# names because perfbench/tracing.py wraps them here.
+from .surrogate import HBDataset, Surrogate, target_errors
+# The from-scratch fit and norm that target_errors reproduces bit for bit;
+# no longer called here, kept importable under these names because
+# perfbench/tracing.py wraps them here.
 from .surrogate import fit, rkhs_norm  # noqa: F401
 
 # Selection stops once the power value of the best candidate drops below
@@ -45,11 +46,13 @@ class GreedyTrace:
     functional is picked: max_residual is E(m) over the pool, power_value
     the power function at the pick, val_residual the residual over the
     validation pool, rkhs_error the native-space error (synthetic targets
-    only).  The residuals of the completed surrogate land in the final_*
-    fields.  newton_coeffs holds c_m per pick and newton_factor the Newton
+    only); the last two are empty or hold one entry per record.  The
+    residuals of the completed surrogate land in the final_* fields.
+    newton_coeffs holds c_m per pick and newton_factor the Newton
     triangular factor L = tril(Z[sel, :m]); with the picks and b_m
-    (power_value) they are all a validation replay needs.  max_m is the
-    fit's cap on the centers.
+    (power_value) they are all a validation replay needs, and a fit drops
+    the factor once it has replayed one.  max_m is the fit's cap on the
+    centers.
     """
 
     dim: int
@@ -71,20 +74,14 @@ class GreedyTrace:
     def rows(self):
         """Rows for CSV export: iter, selected_index, coord, max_residual,
         power_value, rkhs_error (blank in data mode)."""
-        out = []
-        for m in range(len(self)):
-            err = self.rkhs_error[m] if m < len(self.rkhs_error) else None
-            out.append((m, self.point_index[m], self.coord[m], self.max_residual[m],
-                        self.power_value[m], "" if err is None else err))
-        return out
+        return list(zip(range(len(self)), self.point_index, self.coord, self.max_residual,
+                        self.power_value, self.rkhs_error or [""] * len(self)))
 
     def convergence_rows(self):
         """Rows (centers, train residual, val residual) including the final
         surrogate; val entries are blank without a validation set."""
-        out = []
-        for m in range(len(self)):
-            val = self.val_residual[m] if m < len(self.val_residual) else ""
-            out.append((m, self.max_residual[m], val))
+        out = list(zip(range(len(self)), self.max_residual,
+                       self.val_residual or [""] * len(self)))
         if self.final_train_residual is not None:
             out.append((len(self), self.final_train_residual,
                         self.final_val_residual if self.final_val_residual is not None else ""))
@@ -102,7 +99,9 @@ def train_f_greedy(kernel: KernelSpec, data: HBDataset, cfg: GreedyConfig,
     the Newton basis, and the trace is appended.  Selection ends at
     max_centers, when the residual drops below the tolerance, or when the
     best candidate's power value falls under POWER_CUTOFF.  The validation
-    residuals are replayed over the picks once selection has ended.
+    residuals, and the native-space errors against a synthetic target
+    (which replaces the data targets), are replayed over the picks once
+    selection has ended.
 
     picks is the (surrogate, trace) of an earlier fit of this kernel to
     this data.  When that fit ran under the same cap on the centers and
@@ -116,31 +115,29 @@ def train_f_greedy(kernel: KernelSpec, data: HBDataset, cfg: GreedyConfig,
     if data.count == 0:
         raise EmptyDataset("training dataset is empty")
     max_m = min(cfg.max_centers, data.count * data.dim)
+    Y = data.targets if synthetic_target is None else synthetic_target.gradient_many(data.inputs)
     # a fit under the same cap that no residual under the tolerance cut
     # short makes the same picks
     if (picks is not None and synthetic_target is None and picks[1].max_m == max_m
             and all(a >= cfg.residual_tolerance for a in picks[1].max_residual)):
         surr, trace = picks[0], replace(picks[1], val_residual=[])
     else:
-        surr, trace = _select(kernel, data, max_m, cfg.residual_tolerance, synthetic_target)
+        surr, trace = _select(kernel, data.inputs, Y, max_m, cfg.residual_tolerance)
+    if synthetic_target is not None:
+        trace.rkhs_error = target_errors(kernel, synthetic_target, surr.centers, surr.coords,
+                                         Y[trace.point_index, trace.coord])
     if validation is not None and validation.count > 0:
         _replay_validation(kernel, data.inputs, trace, validation)
+        trace.newton_factor = None
     return surr, trace
 
 
-def _select(kernel, data, max_m, tolerance, synthetic_target):
-    """The greedy loop over the training pool; returns (surrogate, trace)."""
-    X = data.inputs
-    d = data.dim
+def _select(kernel, X, Y, max_m, tolerance):
+    """The greedy loop over the pool X with targets Y; returns (surrogate,
+    trace)."""
+    d = X.shape[1]
     n_cand = X.shape[0] * d
-    if synthetic_target is not None:
-        Y = synthetic_target.gradient_many(X)
-        error_norm = TargetErrorNorm(kernel, synthetic_target, max_m)
-    else:
-        Y = data.targets
-
-    y_flat = Y.ravel()
-    r = y_flat.copy()
+    r = Y.ravel().copy()
     p2 = np.full(n_cand, mixed2_self(kernel))
     Z = np.empty((n_cand, max_m))
     available = np.ones(n_cand, dtype=bool)
@@ -155,10 +152,6 @@ def _select(kernel, data, max_m, tolerance, synthetic_target):
         b_m = float(np.sqrt(max(p2[i_star], 0.0)))
         if b_m < POWER_CUTOFF:
             break
-        if synthetic_target is not None:
-            sel = np.asarray(selected, dtype=int)
-            trace.rkhs_error.append(error_norm(X[sel // d], sel % d, y_flat[sel]))
-
         trace.max_residual.append(a_m)
         trace.power_value.append(b_m)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidCoordinate
+from .errors import DimensionMismatch
 
 # Tie-break order for model selection.
 FAMILIES = ("imq", "gaussian", "matern32", "matern52")
@@ -110,17 +110,6 @@ def kernel_grad2(spec: KernelSpec, x, y):
     return -2.0 * float(profile_derivs(spec, d @ d)[0]) * d
 
 
-def kernel_mixed2(spec: KernelSpec, x, y, alpha: int, beta: int) -> float:
-    """Mixed second derivative d/dx_alpha d/dy_beta k(x, y).
-
-    At coincident points the analytic limit -2 h'(0) delta_ab is returned.
-    """
-    x, y = _check_pair(x, y)
-    if not (0 <= alpha < x.size) or not (0 <= beta < x.size):
-        raise InvalidCoordinate(f"coordinates ({alpha}, {beta}) outside dimension {x.size}")
-    return float(mixed2_field(spec, x[None, :], y, beta)[0, alpha])
-
-
 def mixed2_self(spec: KernelSpec) -> float:
     """Diagonal Gram value of any derivative functional: -2 h'(0)."""
     return -2.0 * profile_d1_zero(spec)
@@ -147,7 +136,7 @@ def mixed2_field(spec: KernelSpec, X, x, alpha: int):
     """Mixed derivatives of k against one functional, over many points.
 
     For points X (M x d) and a functional (center x, coordinate alpha),
-    returns the (M x d) array F with F[i, b] = kernel_mixed2(X[i], x, b, alpha).
+    returns the (M x d) array F with F[i, b] = d/dx_b d/dy_alpha k(X[i], x).
     """
     X = np.asarray(X, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -191,7 +180,7 @@ def mixed2_pairs(spec: KernelSpec, X, coords, centers, alphas):
 
     For points X (M x d) with coordinates coords (M,) and centers (m x d)
     with coordinates alphas (m,), returns the (m x M) array K with
-    K[j, i] = kernel_mixed2(X[i], centers[j], coords[i], alphas[j]), equal
+    K[j, i] = d/dx_{coords[i]} d/dy_{alphas[j]} k(X[i], centers[j]), equal
     bit for bit to mixed2_field(spec, X, centers[j], alphas[j])[i, coords[i]].
     """
     X = np.asarray(X, dtype=float)
@@ -212,7 +201,7 @@ def mixed2_accumulate(spec: KernelSpec, X, centers, alphas, coeffs):
     """Gradient field of a derivative-representer expansion at many points.
 
     Returns the (M x d) array G with
-    G[i, b] = sum_j c_j * kernel_mixed2(X[i], centers[j], b, alpha_j).
+    G[i, b] = sum_j c_j * d/dx_b d/dy_{alpha_j} k(X[i], centers[j]).
     The per-center terms are computed a block at a time but added in center
     order, so G does not depend on the block size.
     """

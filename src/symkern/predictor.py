@@ -74,12 +74,22 @@ def _momentum_jacobian(s: Surrogate, q0, p, h: float):
     return M
 
 
+class _Stalled(NoConvergence):
+    """A momentum solve that stalled, with its gradient evaluations and the
+    gradient at its starting point."""
+
+    def __init__(self, message, evals, g_start):
+        super().__init__(message)
+        self.evals, self.g_start = evals, g_start
+
+
 def _solve_momentum(model: PredictorModel, q0, p0, p_start, tol):
     """Fixed-point iteration on the momentum block, Newton on stall.
 
     Convergence is declared at max(tol, dt * evaluation noise floor); the
     best iterate seen is kept, since noise-limited residuals jitter.
-    Returns (P, gradient of s at (q0, P), iterations, residual).
+    Returns (P, gradient of s at (q0, P), iterations, residual); raises
+    _Stalled when the best residual stays above the tolerance.
     """
     s, dt, n = model.surrogate, model.delta_t, model.n
     tol_eff = max(tol, dt * model.gradient_noise_floor)
@@ -93,6 +103,7 @@ def _solve_momentum(model: PredictorModel, q0, p0, p_start, tol):
     P = p_start.copy()
     g, F, res = evaluate(P)
     evals = 1
+    g_start = g
     best = (res, P.copy(), g)
     prev = np.inf
     for _ in range(FIXED_POINT_MAX):
@@ -118,9 +129,8 @@ def _solve_momentum(model: PredictorModel, q0, p0, p_start, tol):
             best = (res, P.copy(), g)
     if best[0] <= tol_eff:
         return best[1], best[2], evals, best[0]
-    raise NoConvergence(
-        f"momentum solve stalled at residual {best[0]:.3e} (tol {tol_eff:.3e})"
-    )
+    raise _Stalled(f"momentum solve stalled at residual {best[0]:.3e} (tol {tol_eff:.3e})",
+                   evals, g_start)
 
 
 def predict_step(model: PredictorModel, x0, tol_factor: float = DEFAULT_TOL_FACTOR):
@@ -135,9 +145,11 @@ def predict_step(model: PredictorModel, x0, tol_factor: float = DEFAULT_TOL_FACT
     tol = tol_factor * (1.0 + np.max(np.abs(p0), initial=0.0))
     try:
         P, g, evals, res = _solve_momentum(model, q0, p0, p0, tol)
-    except NoConvergence:
-        g0 = model.surrogate.gradient_precise(x0)
-        P, g, evals, res = _solve_momentum(model, q0, p0, p0 - model.delta_t * g0[:n], tol)
+    except _Stalled as first:
+        # restart from the explicit guess; the first attempt began at x0
+        P, g, evals, res = _solve_momentum(model, q0, p0,
+                                           p0 - model.delta_t * first.g_start[:n], tol)
+        evals += first.evals
     Q = q0 + model.delta_t * g[n:]
     return np.concatenate([Q, P]), SolveReport(evals, res, True)
 

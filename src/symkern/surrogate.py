@@ -21,11 +21,13 @@ from .kernels import (
     coord_index,
     mixed2_accumulate,
     mixed2_accumulate_precise,
-    mixed2_field,
     mixed2_pairs,
-    mixed2_self,
 )
 from .linalg import cholesky_solve
+
+# No longer called here, kept importable under this name because
+# perfbench/tracing.py wraps it here.
+from .kernels import mixed2_field  # noqa: F401
 
 SERIAL_VERSION = 1
 
@@ -94,9 +96,6 @@ class Surrogate:
         if x.shape != (self.dim,):
             raise DimensionMismatch(f"point shape {x.shape} does not match dim {self.dim}")
         return x
-
-    def gradient(self, x):
-        return self.gradient_many(self._check_point(x)[None, :])[0]
 
     def gradient_precise(self, x):
         """Gradient with extended-precision accumulation.
@@ -199,23 +198,6 @@ def fit(kernel: KernelSpec, functionals, targets) -> Surrogate:
     return Surrogate.from_functionals(kernel, functionals, coeffs)
 
 
-def power_function(kernel: KernelSpec, selected, query: DerivFunctional) -> float:
-    """Norm of the part of the query representer orthogonal to the selection.
-
-    The squared value is the self Gram value minus the projection term
-    v' G^-1 v; roundoff can push it a hair below zero, so it is clamped.
-    """
-    p0 = mixed2_self(kernel)
-    if len(selected) == 0:
-        return float(np.sqrt(p0))
-    centers, coords = _functional_arrays(selected)
-    F = mixed2_field(kernel, centers, query.center, int(query.coord))
-    v = F[np.arange(coords.size), coords]
-    G = gram_matrix(kernel, selected)
-    proj = float(v @ cholesky_solve(G, v))
-    return float(np.sqrt(max(p0 - proj, 0.0)))
-
-
 def rkhs_inner(kernel: KernelSpec, sa: Surrogate, sb: Surrogate) -> float:
     """Native-space inner product of two derivative expansions."""
     if sa.dim != sb.dim:
@@ -244,55 +226,35 @@ def rkhs_norm(kernel: KernelSpec, s: Surrogate) -> float:
     return float(np.sqrt(max(rkhs_inner(kernel, s, s), 0.0)))
 
 
-class TargetErrorNorm:
-    """||u - s_m|| for a target expansion u and the minimum-norm
-    interpolant s_m of u's data at a growing selection of functionals.
+def target_errors(kernel: KernelSpec, target: Surrogate, centers, coords, targets) -> list:
+    """||u - s_m|| for a target expansion u and the minimum-norm interpolant
+    s_m of u's data targets at the first m of the functionals (centers,
+    coords), for every m below their count.
 
-    Keeps the pair matrix C of u's functionals followed by the selected
-    ones, with C[j, i] the entry mixed2_pairs gives for point i and center
-    j, and grows it by one row and one column per selected functional:
-    O(m) kernel pairs per call instead of the O(m^2) of a fresh
-    rkhs_norm(kernel, u - fit(...)).  Both orientations are kept, because
-    C[j, i] and C[i, j] round their product in a different order when the
-    two coordinates differ.  s_m is refitted from scratch on the mirrored
-    upper triangle of the selected block, as fit does, and the norm is the
-    quadratic form of rkhs_inner, so every value equals the from-scratch
-    one bit for bit.
+    One mixed2_pairs call gives the pair matrix C of u's functionals
+    followed by the selected ones, C[j, i] the entry for point i and center
+    j: O(m^2) kernel pairs in all, where a fresh rkhs_norm(kernel,
+    u - fit(...)) per prefix would take O(m^3).  Both orientations are
+    kept, because C[j, i] and C[i, j] round their product in a different
+    order when the two coordinates differ.  Each s_m is refitted from
+    scratch on the mirrored upper triangle of the selected block, as fit
+    does, and the norm is the quadratic form of rkhs_inner, so every value
+    equals the from-scratch one bit for bit.
     """
-
-    def __init__(self, kernel: KernelSpec, target: Surrogate, capacity: int):
-        size = target.size + capacity
-        self.kernel, self.coeffs = kernel, target.coeffs
-        self.n0 = self.n = target.size
-        self.centers = np.empty((size, target.dim))
-        self.coords = np.empty(size, dtype=int)
-        self.pairs = np.empty((size, size))
-        self.upper = np.triu(np.ones((capacity, capacity), dtype=bool))
-        self.centers[:self.n0], self.coords[:self.n0] = target.centers, target.coords
-        self.pairs[:self.n0, :self.n0] = mixed2_pairs(kernel, target.centers, target.coords,
-                                                      target.centers, target.coords)
-
-    def _append(self, center, coord):
-        k, X, a, C = self.n, self.centers, self.coords, self.pairs
-        X[k], a[k] = center, coord
-        C[k, :k + 1] = mixed2_pairs(self.kernel, X[:k + 1], a[:k + 1], X[k:k + 1], a[k:k + 1])[0]
-        C[:k, k] = mixed2_pairs(self.kernel, X[k:k + 1], a[k:k + 1], X[:k], a[:k])[:, 0]
-        self.n = k + 1
-
-    def __call__(self, centers, coords, targets) -> float:
-        """The error for the selection (centers, coords) with data targets.
-
-        Each call's selection extends the previous call's; only the new
-        functionals are evaluated against the stored ones.
-        """
-        for center, coord in zip(centers[self.n - self.n0:], coords[self.n - self.n0:]):
-            self._append(center, coord)
-        n0, n, coeffs = self.n0, self.n, self.coeffs
-        if n > n0:
-            G = _mirror_upper(self.pairs[n0:n, n0:n], self.upper[:n - n0, :n - n0])
-            coeffs = np.concatenate([coeffs, -cholesky_solve(G, targets)])
-        total = _quadratic_form(coeffs, self.pairs[:n, :n], coeffs)
-        return float(np.sqrt(max(total, 0.0)))
+    n0, count = target.size, len(coords)
+    X = np.concatenate([target.centers, centers])
+    a = np.concatenate([target.coords, coords])
+    C = mixed2_pairs(kernel, X, a, X, a)
+    upper = np.triu(np.ones((count, count), dtype=bool))
+    errors = []
+    for m in range(count):
+        coeffs = target.coeffs
+        if m:
+            G = _mirror_upper(C[n0:n0 + m, n0:n0 + m], upper[:m, :m])
+            coeffs = np.concatenate([coeffs, -cholesky_solve(G, targets[:m])])
+        total = _quadratic_form(coeffs, C[:n0 + m, :n0 + m], coeffs)
+        errors.append(float(np.sqrt(max(total, 0.0))))
+    return errors
 
 
 def surrogate_to_dict(s: Surrogate, delta_t: float) -> dict:

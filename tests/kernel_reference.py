@@ -2,16 +2,19 @@
 
 These are the one-functional-at-a-time forms that the evaluators replaced,
 with h' and h'' from separate profile functions; the row loops of the
-triangular solves, the quadratic form and the Gram mirror; and the
-from-scratch native-space error that surrogate.TargetErrorNorm replaced.
-The fast forms must reproduce them bit for bit, so the tests compare with
-np.array_equal, or byte for byte where the sign of a zero matters.  The
-kernel value and the potential of an expansion, which only the tests use,
-live here too.
+triangular solves, the quadratic form and the Gram mirror; the
+from-scratch native-space error that surrogate.target_errors gives for
+every prefix of a selection; and the f-greedy loop that carries the
+validation pool through every pick.  The fast forms must reproduce them
+bit for bit, so the tests compare with np.array_equal, or byte for byte
+where the sign of a zero matters.  The forms that only the tests use live
+here too: the kernel value, one mixed second derivative, the potential and
+the single-point gradient of an expansion, and the power function.
 """
 
 import numpy as np
 
+from symkern import kernels, surrogate
 from symkern.greedy import POWER_CUTOFF
 from symkern.kernels import (
     COINCIDENT_R2,
@@ -21,8 +24,8 @@ from symkern.kernels import (
     profile_d1_zero,
     profile_derivs,
 )
-from symkern.linalg import cholesky_factor
-from symkern.surrogate import Surrogate
+from symkern.linalg import cholesky_factor, cholesky_solve
+from symkern.surrogate import Surrogate, _functional_arrays
 
 
 def profile(spec, s):
@@ -46,6 +49,13 @@ def kernel_eval(spec, x, y):
     return float(profile(spec, d @ d))
 
 
+def kernel_mixed2(spec, x, y, alpha, beta):
+    """Mixed second derivative d/dx_alpha d/dy_beta k(x, y); at coincident
+    points the analytic limit -2 h'(0) delta_ab."""
+    x, y = _check_pair(x, y)
+    return float(kernels.mixed2_field(spec, x[None, :], y, beta)[0, alpha])
+
+
 def grad2_accumulate(spec, X, centers, alphas, coeffs):
     """sum_j c_j * d/dy_{alpha_j} k(X[i], centers[j]) over many points X."""
     X = np.asarray(X, dtype=float)
@@ -63,6 +73,26 @@ def surrogate_value(s, x):
     if s.size == 0:
         return 0.0
     return float(grad2_accumulate(s.kernel, x[None, :], s.centers, s.coords, s.coeffs)[0])
+
+
+def gradient(s, x):
+    """The gradient of the expansion s at one point x."""
+    return s.gradient_many(s._check_point(x)[None, :])[0]
+
+
+def power_function(spec, selected, query):
+    """Norm of the part of the query representer orthogonal to the
+    selection: the square root of the self Gram value minus v' G^-1 v,
+    clamped at zero against roundoff."""
+    p0 = mixed2_self(spec)
+    if len(selected) == 0:
+        return float(np.sqrt(p0))
+    centers, coords = _functional_arrays(selected)
+    F = kernels.mixed2_field(spec, centers, query.center, int(query.coord))
+    v = F[np.arange(coords.size), coords]
+    G = surrogate.gram_matrix(spec, selected)
+    proj = float(v @ cholesky_solve(G, v))
+    return float(np.sqrt(max(p0 - proj, 0.0)))
 
 
 def profile_d1(spec, s):

