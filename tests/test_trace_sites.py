@@ -55,7 +55,8 @@ def test_coarse_spans_of_a_desk_run(monkeypatch, tmp_path):
     assert steps == 2 * 10
     assert tracer.seconds("predictor.rollout") > 0
     assert tracer.calls("experiment.train_one") == 1
-    # model selection trains each candidate, then train_one refits the winner
+    # model selection trains each candidate, then train_one replays the
+    # winner's picks in one more train_f_greedy call
     assert tracer.calls("greedy.train_f_greedy") == 1 * (1 + 1)
 
 
