@@ -14,7 +14,7 @@ import sys as _sys
 
 import numpy as np
 
-from .config import EXPERIMENTS, SCALES, load_config
+from .config import EXPERIMENTS, MAX_MICRO_STEPS, SCALES, load_config
 from .data import build_hb_dataset, sample_states, separability_diagnostic
 from .errors import ConfigError, InvalidModel, SymkernError, UsageError
 from .experiment import build_system, run_experiment, sampler_for
@@ -99,6 +99,8 @@ def _cmd_predict(args):
         raise UsageError(f"--x0 must be finite numbers, got {args.x0!r}")
     if args.steps < 0:
         raise UsageError(f"--steps must be nonnegative, got {args.steps}")
+    if args.steps > MAX_MICRO_STEPS:
+        raise UsageError(f"--steps must be at most {MAX_MICRO_STEPS}, got {args.steps}")
     surr, delta_t = _read_model(args.model)
     if x0.size != surr.dim:
         raise UsageError(f"--x0 has {x0.size} entries, the model state has {surr.dim}")
@@ -122,6 +124,9 @@ def _cmd_diagnose(args):
     cfg = load_config(args.config, experiment="pendulum" if args.config is None else None,
                       scale=args.scale, seed=args.seed)
     sys_, _ = build_system(cfg)
+    if sys_.dim != 2:
+        raise UsageError(f"diagnose-separability needs a one-degree-of-freedom system, "
+                         f"{sys_.name} has dim {sys_.dim}")
     states = sample_states(sys_, sampler_for(cfg, sys_))
     data = build_hb_dataset(sys_, states, cfg["delta_t_list"][0], cfg["micro_dt"])
     table_a, table_b = separability_diagnostic(data)

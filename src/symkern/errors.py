@@ -61,10 +61,6 @@ class TooFewSamples(SymkernError, ValueError):
     pass
 
 
-class GridMismatch(SymkernError, ValueError):
-    pass
-
-
 class EmptySeries(SymkernError, ValueError):
     pass
 

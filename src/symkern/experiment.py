@@ -22,7 +22,7 @@ from .config import validate
 from .data import SamplerSpec, build_hb_dataset, sample_states, split_train_validation
 from .errors import AllCandidatesFailed, SymkernError
 from .greedy import GreedyConfig, max_residual_error, train_f_greedy
-from .integrators import Trajectory, midpoint_many, propagate, step_count
+from .integrators import midpoint_many, propagate, step_count
 from .ioutil import ensure_dir, fmt, write_csv, write_json
 from .kernels import FAMILIES, KernelSpec
 from .metrics import MetricSeries, compute_metrics, mean_series
@@ -216,9 +216,7 @@ class _Reference:
 
     def __init__(self, cfg, sys_):
         self.cfg, self.sys = cfg, sys_
-        micro = cfg["micro_dt"]
-        self.stride = math.gcd(*(step_count(dt, micro) for dt in cfg["delta_t_list"]))
-        self.step = micro * self.stride
+        self.stride = math.gcd(*(step_count(dt, cfg["micro_dt"]) for dt in cfg["delta_t_list"]))
         self.pid = self.fd = None
         self.info = {"child_s": None, "wait_s": None, "exit": None}
 
@@ -318,7 +316,7 @@ def _run_stages(cfg, out_dir, manifest, rollouts):
     ics = ref_path[0]
     horizon = cfg["test"]["horizon"]
 
-    rel_tagged, energy_tagged = [], []
+    rel_rows, energy_rows = [], []
     conv_plot, rel_plot = [], []
     for dt, tag, surr, trace in trained:
         conv = trace.convergence_rows()
@@ -331,39 +329,29 @@ def _run_stages(cfg, out_dir, manifest, rollouts):
 
         model = PredictorModel(surr, dt)
         steps = step_count(horizon, dt)
-        per_ic = {k: [] for k in ("rel_pred", "rel_baseline", "energy_pred",
-                                  "energy_baseline", "energy_reference")}
-        iters_total = 0
-        for i in range(ics.shape[0]):
-            ref_traj = Trajectory(ref_path[:, i, :], reference.step)
-            pred = rollout(model, ics[i], steps)
-            iters_total += int(np.sum(pred.solver_iterations))
-            base = propagate(sys_, ics[i], dt, steps)
-            mets = compute_metrics(pred, base, ref_traj, sys_)
-            for k in per_ic:
-                per_ic[k].append(mets[k])
-        means = {k: mean_series(v, k) for k, v in per_ic.items()}
-        rel_tagged.append((dt, {"predictor": means["rel_pred"],
-                                "baseline": means["rel_baseline"]}))
-        energy_tagged.append((dt, {"predictor": means["energy_pred"],
-                                   "baseline": means["energy_baseline"],
-                                   "reference": means["energy_reference"]}))
-        rel_plot.append(MetricSeries(f"kernel dT={tag}", means["rel_pred"].x,
-                                     means["rel_pred"].y))
-        rel_plot.append(MetricSeries(f"midpoint dT={tag}", means["rel_baseline"].x,
-                                     means["rel_baseline"].y))
+        preds = [rollout(model, x0, steps) for x0 in ics]
+        bases = np.stack([propagate(sys_, x0, dt, steps).states for x0 in ics])
+        stride = step_count(dt, cfg["micro_dt"]) // reference.stride
+        ref = ref_path[: steps * stride + 1 : stride].swapaxes(0, 1)
+        errors = compute_metrics(np.stack([p.states for p in preds]), bases, ref, sys_)
+        t = preds[0].times
+        labels = {"rel_pred": f"kernel dT={tag}", "rel_baseline": f"midpoint dT={tag}"}
+        means = [mean_series(v, t, labels.get(k, k)) for k, v in errors.items()]
+        # compute_metrics orders the two relative errors before the three energy ones
+        rel_plot += means[:2]
+        rel_rows += [(dt,) + row for row in zip(t, *(s.y for s in means[:2]))]
+        energy_rows += [(dt,) + row for row in zip(t, *(s.y for s in means[2:]))]
         summary["per_dt"][tag].update({
-            "rel_pred_final": float(means["rel_pred"].y[-1]),
-            "rel_baseline_final": float(means["rel_baseline"].y[-1]),
-            "solver_iterations": iters_total,
+            "rel_pred_final": float(means[0].y[-1]),
+            "rel_baseline_final": float(means[1].y[-1]),
+            "solver_iterations": sum(int(np.sum(p.solver_iterations)) for p in preds),
         })
         stages.append(f"rollout:{tag}")
 
     write_csv(os.path.join(out_dir, "rel_error.csv"),
-              ["delta_t", "t", "predictor", "baseline"], _series_rows(rel_tagged))
+              ["delta_t", "t", "predictor", "baseline"], rel_rows)
     write_csv(os.path.join(out_dir, "energy_error.csv"),
-              ["delta_t", "t", "predictor", "baseline", "reference"],
-              _series_rows(energy_tagged))
+              ["delta_t", "t", "predictor", "baseline", "reference"], energy_rows)
     emit_line_plot(os.path.join(out_dir, "convergence.svg"), conv_plot,
                    xscale="log", yscale="log", xlabel="centers m",
                    ylabel="max residual", title=f"{cfg['experiment']}: greedy convergence")
@@ -394,15 +382,6 @@ def _train_all(cfg, sys_, states, out_dir, stages):
               ["delta_t", "family", "epsilon", "train_error", "val_error", "note"],
               sel_rows)
     return summary, trained
-
-
-def _series_rows(tagged):
-    rows = []
-    for dt, series_map in tagged:
-        x = series_map[next(iter(series_map))].x
-        for k in range(x.size):
-            rows.append((dt, x[k]) + tuple(s.y[k] for s in series_map.values()))
-    return rows
 
 
 def _write_basis(out_dir, basis):

@@ -39,13 +39,6 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return np.arange(self.states.shape[0]) * self.step
 
-    @property
-    def steps(self) -> int:
-        return self.states.shape[0] - 1
-
-    def final(self):
-        return self.states[-1]
-
 
 def _midpoint_matrices(sys, dt: float):
     """Cayley pair for a quadratic system: x+ = solve(I - dt/2 JH, (I + dt/2 JH) x)."""

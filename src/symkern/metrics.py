@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch
-from .integrators import Trajectory, step_count
 from .systems import HamiltonianSystem
 
 
@@ -26,51 +24,26 @@ class MetricSeries:
             raise ValueError("series abscissae must be strictly increasing")
 
 
-def _macro_stride(macro: Trajectory, reference: Trajectory) -> int:
-    K = step_count(macro.step, reference.step)
-    if K is None:
-        raise GridMismatch(f"macro step {macro.step} not on the reference grid {reference.step}")
-    if macro.steps * K > reference.steps:
-        raise GridMismatch("reference trajectory shorter than the macro rollout")
-    return K
+def compute_metrics(pred, baseline, reference, sys: HamiltonianSystem) -> dict:
+    """The five error arrays, each (ICs, times), of predictor, baseline and
+    reference states stacked as (ICs, times, 2n) on one time grid:
+    ||x - x_ref||_2 / ||x_ref||_2 and |H(x(0)) - H(x(t))|."""
+    ref_norm = np.linalg.norm(reference, axis=-1)
 
+    def energy(states):
+        # one energy_many per trajectory keeps each row's bits
+        H = np.stack([sys.energy_many(s) for s in states])
+        return np.abs(H - H[:, :1])
 
-def relative_error(approx: Trajectory, reference: Trajectory, label: str) -> MetricSeries:
-    """||x_approx - x_ref||_2 / ||x_ref||_2 at every macro time."""
-    K = _macro_stride(approx, reference)
-    ref = reference.states[:: K][: approx.states.shape[0]]
-    num = np.linalg.norm(approx.states - ref, axis=1)
-    den = np.linalg.norm(ref, axis=1)
-    return MetricSeries(label, approx.times, num / den)
-
-
-def energy_error(traj: Trajectory, sys: HamiltonianSystem, label: str,
-                 stride: int = 1) -> MetricSeries:
-    """|H(x0) - H(x(t))| along a trajectory, subsampled by stride."""
-    states = traj.states[::stride]
-    H = sys.energy_many(states)
-    return MetricSeries(label, traj.times[::stride], np.abs(H - H[0]))
-
-
-def compute_metrics(pred: Trajectory, baseline: Trajectory, reference: Trajectory,
-                    sys: HamiltonianSystem) -> dict:
-    """Standard series set for one test trajectory."""
-    K = _macro_stride(pred, reference)
     return {
-        "rel_pred": relative_error(pred, reference, "predictor"),
-        "rel_baseline": relative_error(baseline, reference, "baseline"),
-        "energy_pred": energy_error(pred, sys, "predictor"),
-        "energy_baseline": energy_error(baseline, sys, "baseline"),
-        "energy_reference": energy_error(reference, sys, "reference", stride=K),
+        "rel_pred": np.linalg.norm(pred - reference, axis=-1) / ref_norm,
+        "rel_baseline": np.linalg.norm(baseline - reference, axis=-1) / ref_norm,
+        "energy_pred": energy(pred),
+        "energy_baseline": energy(baseline),
+        "energy_reference": energy(reference),
     }
 
 
-def mean_series(series_list, label: str) -> MetricSeries:
-    """Pointwise mean of series sharing one abscissa grid."""
-    if not series_list:
-        raise ValueError("cannot average an empty series list")
-    x0 = series_list[0].x
-    for s in series_list[1:]:
-        if s.x.shape != x0.shape or np.max(np.abs(s.x - x0), initial=0.0) > 1e-12:
-            raise GridMismatch("series grids differ")
-    return MetricSeries(label, x0, np.mean([s.y for s in series_list], axis=0))
+def mean_series(values, t, label: str) -> MetricSeries:
+    """Mean over the rows of an (ICs, times) error array, against times t."""
+    return MetricSeries(label, t, np.mean(values, axis=0))

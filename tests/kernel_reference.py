@@ -4,18 +4,22 @@ These are the one-functional-at-a-time forms that the evaluators replaced,
 with h' and h'' from separate profile functions; the row loops of the
 triangular solves, the quadratic form and the Gram mirror; the
 from-scratch native-space error that surrogate.target_errors gives for
-every prefix of a selection; and the f-greedy loop that carries the
-validation pool through every pick.  The fast forms must reproduce them
-bit for bit, so the tests compare with np.array_equal, or byte for byte
-where the sign of a zero matters.  The forms that only the tests use live
-here too: the kernel value, one mixed second derivative, the potential and
-the single-point gradient of an expansion, and the power function.
+every prefix of a selection; the f-greedy loop that carries the
+validation pool through every pick; and the error series of one test
+trajectory at a time, with their mean, that metrics.compute_metrics and
+metrics.mean_series replaced with one pass over the stacked trajectories.
+The fast forms must reproduce them bit for bit, so the tests compare with
+np.array_equal, or byte for byte where the sign of a zero matters.  The
+forms that only the tests use live here too: the kernel value, one mixed
+second derivative, the potential and the single-point gradient of an
+expansion, and the power function.
 """
 
 import numpy as np
 
 from symkern import kernels, surrogate
 from symkern.greedy import POWER_CUTOFF
+from symkern.integrators import step_count
 from symkern.kernels import (
     COINCIDENT_R2,
     LONG,
@@ -25,6 +29,7 @@ from symkern.kernels import (
     profile_derivs,
 )
 from symkern.linalg import cholesky_factor, cholesky_solve
+from symkern.metrics import MetricSeries
 from symkern.surrogate import Surrogate, _functional_arrays
 
 
@@ -303,3 +308,37 @@ def greedy_validation_in_loop(kernel, data, max_centers, validation, tolerance=0
     out["final_train_residual"] = float(np.max(np.abs(r)))
     out["final_val_residual"] = float(np.max(np.abs(rv)))
     return out
+
+
+def relative_error(approx, reference, label):
+    """||x_approx - x_ref||_2 / ||x_ref||_2 at every macro time of one
+    trajectory, the reference read every macro-stride-th state."""
+    K = step_count(approx.step, reference.step)
+    ref = reference.states[::K][: approx.states.shape[0]]
+    num = np.linalg.norm(approx.states - ref, axis=1)
+    den = np.linalg.norm(ref, axis=1)
+    return MetricSeries(label, approx.times, num / den)
+
+
+def energy_error(traj, sys, label, stride=1):
+    """|H(x0) - H(x(t))| along one trajectory, subsampled by stride."""
+    states = traj.states[::stride]
+    H = sys.energy_many(states)
+    return MetricSeries(label, traj.times[::stride], np.abs(H - H[0]))
+
+
+def trajectory_metrics(pred, baseline, reference, sys):
+    """The five error series of one test trajectory."""
+    K = step_count(pred.step, reference.step)
+    return {
+        "rel_pred": relative_error(pred, reference, "predictor"),
+        "rel_baseline": relative_error(baseline, reference, "baseline"),
+        "energy_pred": energy_error(pred, sys, "predictor"),
+        "energy_baseline": energy_error(baseline, sys, "baseline"),
+        "energy_reference": energy_error(reference, sys, "reference", stride=K),
+    }
+
+
+def mean_series(series_list, label):
+    """Pointwise mean of series on the abscissae of the first."""
+    return MetricSeries(label, series_list[0].x, np.mean([s.y for s in series_list], axis=0))

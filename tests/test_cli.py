@@ -129,6 +129,23 @@ def test_diagnose_separability(mini_run, tmp_path):
     assert len(a) == 2 * (len(b) - 1) + 1
 
 
+def test_diagnose_separability_multi_dof_is_usage_error(tmp_path, capsys, monkeypatch):
+    import symkern.cli as cli_mod
+
+    def fail(*args, **kwargs):
+        raise AssertionError("sampled before the dimension check")
+
+    monkeypatch.setattr(cli_mod, "sample_states", fail)
+    cfg = tmp_path / "chain.json"
+    cfg.write_text(json.dumps({"experiment": "chain", "system": {"n": 2}}))
+    out = tmp_path / "diag"
+    rc = main(["diagnose-separability", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == ("usage error: diagnose-separability needs a "
+                                       "one-degree-of-freedom system, chain has dim 4\n")
+    assert not out.exists()
+
+
 def test_check_bounds(mini_run, capsys):
     cfg_path, out = mini_run
     rc = main(["check-bounds", "--config", str(cfg_path),
@@ -275,6 +292,8 @@ def test_config_leaf_value_exit_code(tmp_path, capsys, command, config, message)
     ("a,b", "2", "usage error: --x0 must be comma-separated numbers, got 'a,b'\n"),
     ("0.1,0.2,0.3", "2", "usage error: --x0 has 3 entries, the model state has 2\n"),
     ("0.1,0.2", "-1", "usage error: --steps must be nonnegative, got -1\n"),
+    ("0.1,0.2", "10000000000000000000",
+     "usage error: --steps must be at most 1000000, got 10000000000000000000\n"),
     ("nan,0", "2", "usage error: --x0 must be finite numbers, got 'nan,0'\n"),
     ("inf,0", "2", "usage error: --x0 must be finite numbers, got 'inf,0'\n"),
 ])

@@ -115,7 +115,7 @@ def test_momentum_reversal_mirror():
         x = rng.uniform(-0.4, 0.4, 6)
         flipped = np.concatenate([x[:3], -x[3:]])
         ds = build_hb_dataset(chain, flipped[None, :], dt, micro)
-        back = propagate(chain, x, -micro, 100).final()
+        back = propagate(chain, x, -micro, 100).states[-1]
         mirrored_xi = np.concatenate([x[:3], -back[3:]])
         assert np.max(np.abs(ds.inputs[0] - mirrored_xi)) <= 1e-6
 

@@ -9,7 +9,7 @@ from symkern.integrators import (
     propagate,
     step_count,
 )
-from symkern.metrics import relative_error
+from symkern.metrics import compute_metrics
 from symkern.systems import Chain, Pendulum, Quadratic, jmat
 
 HARMONIC = Quadratic(np.eye(2))
@@ -95,14 +95,14 @@ def test_propagate_matches_composition():
     y = x.copy()
     for _ in range(100):
         y, _ = implicit_midpoint_step(sys_, y, 1e-3)
-    assert np.max(np.abs(traj.final() - y)) <= 1e-14
+    assert np.max(np.abs(traj.states[-1] - y)) <= 1e-14
     assert np.max(np.abs(traj.times - np.arange(101) * 1e-3)) <= 1e-12
 
 
 def test_macro_step_is_micro_composition():
     sys_ = Pendulum()
     x = np.array([1.2, 0.4])
-    macro = propagate(sys_, x, 1e-3, 100).final()
+    macro = propagate(sys_, x, 1e-3, 100).states[-1]
     # one 0.1 macro reference = 100 micro steps of 1e-3 by definition
     batch = midpoint_many(sys_, x[None, :], 1e-3, 100)[0]
     assert np.max(np.abs(macro - batch)) <= 1e-12
@@ -114,7 +114,7 @@ def test_midpoint_many_matches_scalar_path():
         X = rng.uniform(-0.5, 0.5, (7, sys_.dim))
         got = midpoint_many(sys_, X, 1e-2, 25)
         for i in range(7):
-            want = propagate(sys_, X[i], 1e-2, 25).final()
+            want = propagate(sys_, X[i], 1e-2, 25).states[-1]
             assert np.max(np.abs(got[i] - want)) <= 1e-11
 
 
@@ -129,11 +129,14 @@ def test_baseline_error_decreases_with_macro_step():
     # macro implicit midpoint gets uniformly better as the step shrinks
     sys_ = Pendulum()
     x = np.array([1.0, 0.0])
-    ref = propagate(sys_, x, 1e-3, 6000)
+    ref = propagate(sys_, x, 1e-3, 6000).states
     finals = []
     for dt in (0.1, 0.05, 0.025):
-        base = propagate(sys_, x, dt, int(round(6.0 / dt)))
-        finals.append(relative_error(base, ref, "mid").y[-1])
+        steps = int(round(6.0 / dt))
+        stride = step_count(dt, 1e-3)
+        base = propagate(sys_, x, dt, steps).states[None]
+        mets = compute_metrics(base, base, ref[: steps * stride + 1 : stride][None], sys_)
+        finals.append(mets["rel_baseline"][0, -1])
     assert finals[0] > finals[1] > finals[2]
 
 
@@ -188,7 +191,7 @@ def test_trajectory_times_are_step_multiples():
                          keep_path=True)
     ref = Trajectory(path[:, 1, :], 1e-3)
     assert ref.times.tobytes() == (np.arange(41) * 1e-3).tobytes()
-    assert ref.steps == 40
+    assert ref.states.shape[0] - 1 == 40
 
 
 def test_step_count_applies_both_tolerances():

@@ -1,59 +1,76 @@
 import numpy as np
 import pytest
 
-from symkern.errors import EmptySeries, GridMismatch
-from symkern.integrators import Trajectory
-from symkern.metrics import MetricSeries, compute_metrics, mean_series, relative_error
+import kernel_reference as ref
+from symkern.errors import EmptySeries
+from symkern.integrators import Trajectory, midpoint_many, propagate, step_count
+from symkern.metrics import MetricSeries, compute_metrics, mean_series
 from symkern.plots import emit_line_plot
-from symkern.systems import Quadratic
-
-
-def traj(states, step):
-    states = np.asarray(states, dtype=float)
-    return Trajectory(states=states, step=step)
+from symkern.systems import Chain, Pendulum, Quadratic
 
 
 def test_relative_error_hand_value():
-    ref = traj([[1.0, 0.0], [0.8, 0.6]], 0.1)
-    pred = traj([[1.0, 0.0], [1.0, 0.0]], 0.1)
-    series = relative_error(pred, ref, "pred")
-    assert series.y[0] == 0.0
-    assert series.y[1] == pytest.approx(np.sqrt(0.4), rel=1e-12)
+    path = np.array([[[1.0, 0.0], [0.8, 0.6]]])
+    pred = np.array([[[1.0, 0.0], [1.0, 0.0]]])
+    rel = compute_metrics(pred, pred, path, Quadratic(np.eye(2)))["rel_pred"]
+    assert rel[0, 0] == 0.0
+    assert rel[0, 1] == pytest.approx(np.sqrt(0.4), rel=1e-12)
 
 
 def test_relative_error_zero_for_identical():
-    ref = traj(np.random.default_rng(0).standard_normal((11, 4)), 0.01)
-    assert np.allclose(relative_error(ref, ref, "x").y, 0.0)
+    states = np.random.default_rng(0).standard_normal((1, 11, 4))
+    assert np.allclose(compute_metrics(states, states, states,
+                                       Quadratic(np.eye(4)))["rel_pred"], 0.0)
 
 
 def test_energy_error_constant_trajectory():
     sys_ = Quadratic(np.eye(2))
-    t = traj([[1.0, 0.0]] * 5, 0.1)
-    mets = compute_metrics(t, t, traj([[1.0, 0.0]] * 41, 0.0125), sys_)
-    assert np.allclose(mets["energy_pred"].y, 0.0)
-
-
-def test_grid_mismatch_rejected():
-    ref = traj(np.zeros((11, 2)), 0.013)
-    pred = traj(np.zeros((3, 2)), 0.1)
-    with pytest.raises(GridMismatch):
-        relative_error(pred, ref, "x")
-
-
-def test_reference_too_short_rejected():
-    ref = traj(np.zeros((5, 2)), 0.1)
-    pred = traj(np.zeros((11, 2)), 0.1)
-    with pytest.raises(GridMismatch):
-        relative_error(pred, ref, "x")
+    t = np.array([[[1.0, 0.0]] * 5])
+    micro_path = np.array([[[1.0, 0.0]]] * 41)
+    mets = compute_metrics(t, t, micro_path[: 4 * 8 + 1 : 8].swapaxes(0, 1), sys_)
+    assert np.allclose(mets["energy_pred"], 0.0)
 
 
 def test_mean_series():
-    a = MetricSeries("a", [0.0, 1.0], [1.0, 3.0])
-    b = MetricSeries("b", [0.0, 1.0], [3.0, 5.0])
-    m = mean_series([a, b], "mean")
+    m = mean_series(np.array([[1.0, 3.0], [3.0, 5.0]]), [0.0, 1.0], "mean")
     assert np.allclose(m.y, [2.0, 4.0])
-    with pytest.raises(GridMismatch):
-        mean_series([a, MetricSeries("c", [0.0, 2.0], [0.0, 0.0])], "bad")
+    assert m.label == "mean" and m.x.tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("count", [3, 10])
+@pytest.mark.parametrize("sys_", [
+    Pendulum(), Chain(2), Chain(3),
+    Quadratic(np.diag([1.0, 2.0, 3.0, 1.5, 0.5, 2.5]) + 0.1),
+], ids=lambda s: f"{s.name}-d{s.dim}")
+def test_array_metrics_match_per_trajectory_forms(sys_, count):
+    # the experiment's layout: rollouts stacked per macro step, the micro
+    # reference kept at the gcd stride and read through a strided,
+    # axes-swapped view
+    rng = np.random.default_rng(count)
+    ics = rng.uniform(-0.5, 0.5, (count, sys_.dim))
+    micro, gcd = 0.01, 2
+    path = midpoint_many(sys_, ics, micro, 120, keep_path=True)[::gcd].copy()
+    for dt in (0.04, 0.06):
+        steps = step_count(1.2, dt)
+        stride = step_count(dt, micro) // gcd
+        base = [propagate(sys_, x0, dt, steps) for x0 in ics]
+        pred = [Trajectory(b.states + 1e-3 * rng.standard_normal(b.states.shape), dt)
+                for b in base]
+        t = pred[0].times
+        errors = compute_metrics(np.stack([p.states for p in pred]),
+                                 np.stack([b.states for b in base]),
+                                 path[: steps * stride + 1 : stride].swapaxes(0, 1), sys_)
+        per_ic = [ref.trajectory_metrics(pred[i], base[i], Trajectory(path[:, i], micro * gcd),
+                                         sys_) for i in range(count)]
+        assert list(errors) == list(per_ic[0])
+        for k, values in errors.items():
+            assert values.shape == (count, steps + 1)
+            assert np.array_equal(values, [m[k].y for m in per_ic]), k
+            want = ref.mean_series([m[k] for m in per_ic], k)
+            got = mean_series(values, t, k)
+            assert np.array_equal(got.y, want.y), k
+            if k != "energy_reference":
+                assert np.array_equal(got.x, want.x), k
 
 
 def test_series_must_increase():

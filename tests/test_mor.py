@@ -103,8 +103,8 @@ def test_reduced_dynamics_are_canonical():
     z0 = rng.standard_normal(4)
     x0 = basis.lift(z0)
     dt = 0.05
-    z1 = propagate(red, z0, dt, 1).final()
-    x1 = propagate(w, x0, dt, 1).final()
+    z1 = propagate(red, z0, dt, 1).states[-1]
+    x1 = propagate(w, x0, dt, 1).states[-1]
     assert np.max(np.abs(z1 - basis.restrict(x1))) <= 1e-8
 
 
