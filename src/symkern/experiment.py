@@ -175,6 +175,21 @@ def train_one(cfg, sys_, states, dt, out_dir, sel_rows):
     return kspec, surr, trace
 
 
+# Environment variables that set the BLAS thread count.  Artifacts are
+# byte-identical only at a fixed count: a threaded BLAS splits its sums
+# differently.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _runtime():
+    """The MANIFEST's ``runtime`` entry: numpy, the BLAS it was built
+    against and the BLAS thread settings of the environment."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return {"numpy": np.__version__, "blas": blas.get("name"),
+            "blas_version": blas.get("version"),
+            "threads_env": {var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
+
+
 def run_experiment(cfg, out_dir, rollouts: bool = True):
     """Execute one benchmark end to end; artifacts land in out_dir.
 
@@ -184,7 +199,7 @@ def run_experiment(cfg, out_dir, rollouts: bool = True):
     """
     validate(cfg)
     ensure_dir(out_dir)
-    manifest = {"config": cfg, "status": "running", "stages": []}
+    manifest = {"config": cfg, "status": "running", "runtime": _runtime(), "stages": []}
 
     def checkpoint(status=None, error=None):
         if status:

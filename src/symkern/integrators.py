@@ -58,7 +58,7 @@ def step_count(span, step) -> int | None:
 
 def _midpoint_newton(sys: HamiltonianSystem, X, dt: float, tol):
     """Newton jointly over a batch; returns (next states, updates, residuals)."""
-    J = jmat(sys.n)
+    n = sys.n
     eye = np.eye(sys.dim)
     Xn = X.copy()
     for it in range(NEWTON_MAX_ITER):
@@ -67,7 +67,9 @@ def _midpoint_newton(sys: HamiltonianSystem, X, dt: float, tol):
         res = np.max(np.abs(F), axis=1)
         if np.all(res <= tol):
             return Xn, it, res
-        DF = eye[None, :, :] - 0.5 * dt * np.einsum("ij,mjk->mik", J, sys.hess_many(mid))
+        # J H for J = [[0, I], [-I, 0]]: the row blocks of H swapped, one negated
+        H = sys.hess_many(mid)
+        DF = eye[None, :, :] - 0.5 * dt * np.concatenate([H[:, n:], -H[:, :n]], axis=1)
         Xn = Xn - np.linalg.solve(DF, F[:, :, None])[:, :, 0]
     worst = int(np.argmax(res))
     raise NoConvergence(f"midpoint Newton did not converge, row {worst} at residual "

@@ -115,20 +115,36 @@ def mixed2_self(spec: KernelSpec) -> float:
     return -2.0 * profile_d1_zero(spec)
 
 
-def _derivative_terms(spec: KernelSpec, D):
-    """(W, H) = (-4 h''(s), -2 h'(s)) with s = |D|^2 over the last axis of D.
+def _sq_norms(D):
+    """Squared lengths over axis -2 of a coordinate-major array D (..., d, M).
 
-    The mixed derivative of a difference row D_i is W_i D_ia D_ib + H_i
-    delta_ab.  Below COINCIDENT_R2 the analytic limit W = 0, H = -2 h'(0)
-    is taken.  s goes through the row reduction einsum("ij,ij->i") in the
-    dtype of D (float64 or LONG), so every caller rounds it alike.
+    The even coordinates and the odd coordinates are summed in order, then
+    the two sums are added: for d <= 7 that is the order in which numpy's
+    einsum("ij,ij->i") rounds the rows of the point-major array, so both
+    give equal bits.  From d = 8 on einsum unrolls wider and the two can
+    differ in the last bits.
     """
-    rows = D.reshape(-1, D.shape[-1])
-    s = np.einsum("ij,ij->i", rows, rows).reshape(D.shape[:-1])
+    P = D * D
+    d = P.shape[-2]
+    for k in range(2, d):
+        P[..., k % 2, :] += P[..., k, :]
+    if d > 1:
+        P[..., 0, :] += P[..., 1, :]
+    return P[..., 0, :]
+
+
+def _derivative_terms(spec: KernelSpec, s):
+    """(W, H) = (-4 h''(s), -2 h'(s)) for squared distances s.
+
+    The mixed derivative of a difference D is W D_a D_b + H delta_ab.
+    Below COINCIDENT_R2 the analytic limit W = 0, H = -2 h'(0) is taken.
+    W and H come in the dtype of s (float64 or LONG).
+    """
     h1, h2 = profile_derivs(spec, s)
-    near = s < COINCIDENT_R2
     W, H = -4.0 * h2, -2.0 * h1
-    W[near], H[near] = 0.0, -2.0 * profile_d1_zero(spec)
+    near = s < COINCIDENT_R2
+    if near.any():
+        W[near], H[near] = 0.0, -2.0 * profile_d1_zero(spec)
     return W, H
 
 
@@ -140,19 +156,23 @@ def mixed2_field(spec: KernelSpec, X, x, alpha: int):
     """
     X = np.asarray(X, dtype=float)
     x = np.asarray(x, dtype=float)
-    D = X - x[None, :]
-    W, H = _derivative_terms(spec, D)
-    F = (W * D[:, alpha])[:, None] * D
+    D = np.subtract(X.T, x[:, None], order="C")
+    W, H = _derivative_terms(spec, _sq_norms(D))
+    F = np.empty(X.shape)
+    np.multiply(W * D[alpha], D, out=F.T)    # written point-major, no transposing copy
     F[:, alpha] += H
     return F
 
 
 # Pair evaluators work on blocks of centers x all points, with about this
-# many float64s (256 KiB) in the (block, points, dim) difference array, or
+# many float64s (256 KiB) in the (block, dim, points) difference array, or
 # one center per block when its array alone is larger.  On a 2-vCPU Xeon
-# VM, 2**15 ran the desk-size Gram and gradient-field calls faster than
-# 2**13 or 2**17, and it keeps the temporaries well below the greedy's
-# Newton basis.
+# VM with one BLAS thread, in two sets of interleaved runs over 2**13 to
+# 2**17, 2**15 ran the desk-size gradient fields (1219-1600 points x
+# 300-400 centers, d = 2, 4, 6) and verify-synthetic's 210 x 210 pair
+# matrix fastest in six of eight cases and at most 19 % slower in the
+# other two; 2**17 was 2-47 % slower than the fastest.  It keeps the
+# temporaries well below the greedy's Newton basis.
 BLOCK_FLOATS = 2**15
 
 
@@ -164,15 +184,16 @@ def block_centers(points: int, dim: int) -> int:
 def _pair_blocks(spec: KernelSpec, X, centers):
     """Yield (lo, D, W, H) for consecutive blocks of centers.
 
-    D[k, i] = X[i] - centers[lo + k]; W and H are the (block x M)
+    D[k, :, i] = X[i] - centers[lo + k], coordinate-major, so every
+    elementwise pass runs over the points; W and H are the (block x M)
     _derivative_terms of D.  Each entry is equal bit for bit to the
-    one-center form D = X - centers[j], because the squared distances go
-    through the same row reduction.
+    one-center form of mixed2_field.
     """
+    Xt = np.ascontiguousarray(X.T)
     step = block_centers(*X.shape)
     for lo in range(0, centers.shape[0], step):
-        D = X[None, :, :] - centers[lo:lo + step, None, :]
-        yield (lo, D) + _derivative_terms(spec, D)
+        D = Xt[None, :, :] - centers[lo:lo + step, :, None]
+        yield (lo, D) + _derivative_terms(spec, _sq_norms(D))
 
 
 def mixed2_pairs(spec: KernelSpec, X, coords, centers, alphas):
@@ -192,7 +213,7 @@ def mixed2_pairs(spec: KernelSpec, X, coords, centers, alphas):
     for lo, D, W, H in _pair_blocks(spec, X, centers):
         hi = lo + D.shape[0]
         a = alphas[lo:hi]
-        val = W * D[np.arange(a.size), :, a] * D[:, points, coords]
+        val = W * D[np.arange(a.size), a] * D[:, coords, points]
         K[lo:hi] = np.where(coords[None, :] == a[:, None], val + H, val)
     return K
 
@@ -209,17 +230,17 @@ def mixed2_accumulate(spec: KernelSpec, X, centers, alphas, coeffs):
     centers = np.asarray(centers, dtype=float)
     alphas = np.asarray(alphas, dtype=int)
     coeffs = np.asarray(coeffs, dtype=float)
-    G = np.zeros_like(X)
+    G = np.zeros((X.shape[1], X.shape[0]))
     for lo, D, W, H in _pair_blocks(spec, X, centers):
         hi = lo + D.shape[0]
         a = alphas[lo:hi]
         c = coeffs[lo:hi, None]
-        T = (c * W * D[np.arange(a.size), :, a])[:, :, None] * D
+        T = (c * W * D[np.arange(a.size), a])[:, None, :] * D
         U = c * H
         for k, a_k in enumerate(a):
             G += T[k]
-            G[:, a_k] += U[k]
-    return G
+            G[a_k] += U[k]
+    return np.ascontiguousarray(G.T)
 
 
 def coord_index(alphas, dim: int):
@@ -238,10 +259,13 @@ def mixed2_accumulate_precise(spec: KernelSpec, x, centers, alphas, coeffs, inde
     Same quantity as one row of mixed2_accumulate, accumulated in LONG to
     push the rounding floor of ill-conditioned expansions down.  centers
     and coeffs may already be LONG arrays; index is coord_index(alphas, d).
+    The differences stay point-major with einsum's row reduction: in LONG
+    einsum adds each row in sequence, which _sq_norms does not reproduce
+    from d = 3 on, and a coordinate-major form was no faster here.
     """
     rows, masks = coord_index(alphas, x.size) if index is None else index
     D = np.asarray(x, dtype=LONG)[None, :] - np.asarray(centers, dtype=LONG)
-    W, H = _derivative_terms(spec, D)
+    W, H = _derivative_terms(spec, np.einsum("ij,ij->i", D, D))
     c = np.asarray(coeffs, dtype=LONG)
     g = D.T @ (W * D[rows, alphas] * c)
     diag_terms = c * H

@@ -7,7 +7,9 @@ from-scratch native-space error that surrogate.target_errors gives for
 every prefix of a selection; the f-greedy loop that carries the
 validation pool through every pick; and the error series of one test
 trajectory at a time, with their mean, that metrics.compute_metrics and
-metrics.mean_series replaced with one pass over the stacked trajectories.
+metrics.mean_series replaced with one pass over the stacked trajectories;
+and the implicit-midpoint Newton with its matrix J H from an einsum
+against J, where integrators._midpoint_newton swaps the row blocks of H.
 The fast forms must reproduce them bit for bit, so the tests compare with
 np.array_equal, or byte for byte where the sign of a zero matters.  The
 forms that only the tests use live here too: the kernel value, one mixed
@@ -19,7 +21,8 @@ import numpy as np
 
 from symkern import kernels, surrogate
 from symkern.greedy import POWER_CUTOFF
-from symkern.integrators import step_count
+from symkern.errors import NoConvergence
+from symkern.integrators import NEWTON_MAX_ITER, step_count
 from symkern.kernels import (
     COINCIDENT_R2,
     LONG,
@@ -31,6 +34,7 @@ from symkern.kernels import (
 from symkern.linalg import cholesky_factor, cholesky_solve
 from symkern.metrics import MetricSeries
 from symkern.surrogate import Surrogate, _functional_arrays
+from symkern.systems import apply_j, jmat
 
 
 def profile(spec, s):
@@ -342,3 +346,19 @@ def trajectory_metrics(pred, baseline, reference, sys):
 def mean_series(series_list, label):
     """Pointwise mean of series on the abscissae of the first."""
     return MetricSeries(label, series_list[0].x, np.mean([s.y for s in series_list], axis=0))
+
+
+def midpoint_newton(sys, X, dt, tol):
+    """Newton jointly over a batch, DF = I - dt/2 einsum(J, H)."""
+    J = jmat(sys.n)
+    eye = np.eye(sys.dim)
+    Xn = X.copy()
+    for it in range(NEWTON_MAX_ITER):
+        mid = 0.5 * (X + Xn)
+        F = Xn - X - dt * apply_j(sys.grad_many(mid))
+        res = np.max(np.abs(F), axis=1)
+        if np.all(res <= tol):
+            return Xn, it, res
+        DF = eye[None, :, :] - 0.5 * dt * np.einsum("ij,mjk->mik", J, sys.hess_many(mid))
+        Xn = Xn - np.linalg.solve(DF, F[:, :, None])[:, :, 0]
+    raise NoConvergence("midpoint Newton did not converge")

@@ -63,6 +63,19 @@ def test_train_failure_leaves_manifest(tmp_path, capsys, monkeypatch):
     manifest = json.loads((out / "MANIFEST.json").read_text())
     assert manifest["status"] == "failed"
     assert [s.split(":")[0] for s in manifest["stages"]] == ["system", "sampled"]
+    assert_runtime(manifest)
+
+
+def assert_runtime(manifest):
+    # the BLAS and its thread settings, on which the artifact bits depend
+    runtime = manifest["runtime"]
+    assert set(runtime) == {"numpy", "blas", "blas_version", "threads_env"}
+    assert runtime["numpy"] == np.__version__
+    assert isinstance(runtime["blas"], str) and isinstance(runtime["blas_version"], str)
+    assert set(runtime["threads_env"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                           "MKL_NUM_THREADS"}
+    assert runtime["threads_env"]["OPENBLAS_NUM_THREADS"] == os.environ.get(
+        "OPENBLAS_NUM_THREADS")
 
 
 def test_experiment_artifacts(mini_run):
@@ -78,6 +91,7 @@ def test_experiment_artifacts(mini_run):
         assert (out / name).exists(), name
     manifest = json.loads((out / "MANIFEST.json").read_text())
     assert manifest["status"] == "complete"
+    assert_runtime(manifest)
 
 
 def test_rel_error_covers_all_steps(mini_run):

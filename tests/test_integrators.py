@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import kernel_reference as ref
+from symkern import integrators
 from symkern.errors import NoConvergence
 from symkern.integrators import (
     Trajectory,
@@ -151,6 +153,22 @@ def test_scalar_step_is_the_one_row_batch(sys_):
             got, report = implicit_midpoint_step(sys_, x, dt)
             assert got.tobytes() == midpoint_many(sys_, x[None], dt, 1)[0].tobytes()
             assert report.converged
+
+
+@pytest.mark.parametrize("sys_", [Pendulum(), Chain()], ids=lambda s: s.name)
+@pytest.mark.parametrize("rows", [1, 2000])
+def test_newton_row_swap_equals_einsum_bitwise(sys_, rows):
+    # J H as H's row blocks swapped and one negated: J is a signed
+    # permutation, so the Newton matrix, and every iterate, keeps its bits
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-1.5, 1.5, (rows, sys_.dim))
+    tol = 1e-12 * (1.0 + np.max(np.abs(X), axis=1))
+    for dt in (0.1, -0.3, 1e-3):
+        got = integrators._midpoint_newton(sys_, X, dt, tol)
+        want = ref.midpoint_newton(sys_, X, dt, tol)
+        assert got[1] == want[1]
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[2].tobytes() == want[2].tobytes()
 
 
 class FlatHessian(Pendulum):

@@ -214,7 +214,7 @@ BLOCKINGS = [lambda M, d: 1, lambda M, d: 4 * M * d, lambda M, d: kernels.BLOCK_
 
 
 @pytest.mark.parametrize("fam", FAMILIES)
-@pytest.mark.parametrize("d", [2, 4, 6])
+@pytest.mark.parametrize("d", range(1, 8))
 @pytest.mark.parametrize("blocking", BLOCKINGS)
 def test_mixed2_pairs_equals_field_loop_bitwise(fam, d, blocking, monkeypatch):
     X, coords, centers, alphas, _ = pair_case(d)
@@ -230,7 +230,7 @@ def test_mixed2_pairs_equals_field_loop_bitwise(fam, d, blocking, monkeypatch):
 
 
 @pytest.mark.parametrize("fam", FAMILIES)
-@pytest.mark.parametrize("d", [2, 4, 6])
+@pytest.mark.parametrize("d", range(1, 8))
 @pytest.mark.parametrize("blocking", BLOCKINGS)
 def test_mixed2_accumulate_equals_center_loop_bitwise(fam, d, blocking, monkeypatch):
     X, _, centers, alphas, coeffs = pair_case(d)
@@ -252,3 +252,25 @@ def test_precise_branches_match_float64(fam):
         g64 = mixed2_accumulate(spec, x[None, :], centers, alphas, coeffs)[0]
         assert np.max(np.abs(g - g64)) <= 1e-13 * scale
         assert np.array_equal(g, ref.mixed2_accumulate_precise(spec, x, centers, alphas, coeffs))
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_sq_norms_rounds_like_einsum_bitwise(d):
+    # even coordinates, odd coordinates, then the two sums: the order in
+    # which einsum("ij,ij->i") rounds rows of up to seven entries
+    rng = np.random.default_rng(d)
+    R = rng.standard_normal((20000, d)) * rng.uniform(0.1, 10.0, (20000, 1))
+    want = np.einsum("ij,ij->i", R, R)
+    assert np.array_equal(kernels._sq_norms(np.ascontiguousarray(R.T)), want)
+    blocks = np.ascontiguousarray(R.reshape(40, 500, d).transpose(0, 2, 1))
+    assert np.array_equal(kernels._sq_norms(blocks), want.reshape(40, 500))
+
+
+@pytest.mark.parametrize("d", [8, 12, 16])
+def test_sq_norms_within_ulps_of_einsum(d):
+    # from eight entries on einsum unrolls wider and rounds in another order
+    rng = np.random.default_rng(d)
+    R = rng.standard_normal((20000, d))
+    want = np.einsum("ij,ij->i", R, R)
+    got = kernels._sq_norms(np.ascontiguousarray(R.T))
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(want))

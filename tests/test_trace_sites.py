@@ -5,14 +5,17 @@ look them up by, and raises at install time for a name that is gone.  These
 tests install the tracer, so a refactor that removes or renames a traced
 name, or stops calling it through the traced module, fails here rather
 than in a later benchmark run (perfbench/run.py divides by the rollout
-time the coarse spans record).
+time the coarse spans record).  The kernel and Newton forms behind those
+names must also give the artifact bytes of the reference forms they
+replaced.
 """
 
 import os
 
 import pytest
 
-from symkern import greedy, kernels
+import kernel_reference as ref
+from symkern import greedy, integrators, kernels, surrogate
 from symkern.config import default_config
 from symkern.experiment import run_experiment
 
@@ -102,3 +105,33 @@ def test_verify_synthetic_checks_pass(monkeypatch, tmp_path):
             "reference_centers", "reference_model_residual"} <= set(names)
     assert [(name, detail) for name, ok, detail in result["checks"] if not ok] == []
     assert result["train_s"] > 0 and result["predict_s"] > 0
+
+
+# (module, name, reference form): the call sites the pipeline reaches the
+# float64 kernel blocks and the midpoint Newton through.  No stage of an
+# experiment calls mixed2_pairs; it is patched so that one that starts to
+# is covered.
+REFERENCE_FORMS = [(greedy, "mixed2_field", ref.mixed2_field),
+                   (surrogate, "mixed2_accumulate", ref.mixed2_accumulate),
+                   (surrogate, "mixed2_pairs", ref.mixed2_pairs),
+                   (integrators, "_midpoint_newton", ref.midpoint_newton)]
+
+
+@pytest.mark.parametrize("experiment", ["pendulum", "chain", "wave"])
+def test_artifacts_equal_under_reference_forms(monkeypatch, tmp_path, experiment):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from workloads import artifact_digest
+
+    cfg = _tiny(experiment)
+    run_experiment(cfg, str(tmp_path / "shipped"))
+    fired = set()
+    for module, name, form in REFERENCE_FORMS:
+        def noted(*args, name=name, form=form, **kwargs):
+            fired.add(name)
+            return form(*args, **kwargs)
+        monkeypatch.setattr(module, name, noted)
+    run_experiment(cfg, str(tmp_path / "reference"))
+    assert artifact_digest(tmp_path / "shipped") == artifact_digest(tmp_path / "reference")
+    # wave's reduced system is quadratic: its midpoint steps take no Newton
+    newton = set() if experiment == "wave" else {"_midpoint_newton"}
+    assert fired == {"mixed2_field", "mixed2_accumulate"} | newton
