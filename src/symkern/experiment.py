@@ -183,11 +183,12 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 def _runtime():
     """The MANIFEST's ``runtime`` entry: numpy, the BLAS it was built
-    against and the BLAS thread settings of the environment."""
+    against, its thread settings and the mantissa bits of np.longdouble."""
     blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
     return {"numpy": np.__version__, "blas": blas.get("name"),
             "blas_version": blas.get("version"),
-            "threads_env": {var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
+            "threads_env": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+            "longdouble_nmant": int(np.finfo(np.longdouble).nmant)}
 
 
 def run_experiment(cfg, out_dir, rollouts: bool = True):

@@ -24,7 +24,6 @@ NEWTON_TOL_FACTOR = 1e-12
 class SolveReport:
     iterations: int
     final_residual_norm: float
-    converged: bool
 
 
 @dataclass
@@ -82,14 +81,14 @@ def implicit_midpoint_step(sys: HamiltonianSystem, x, dt: float):
     Newton on the one-row batch; quadratic systems take one exact solve.
     """
     x = np.asarray(x, dtype=float)
-    tol = NEWTON_TOL_FACTOR * (1.0 + np.max(np.abs(x[None, :]), axis=1))
     if sys.quadratic:
         L, R = _midpoint_matrices(sys, dt)
         x_new = np.linalg.solve(L, R @ x)
         res = float(np.max(np.abs(x_new - x - dt * apply_j(sys.grad(0.5 * (x + x_new))))))
-        return x_new, SolveReport(iterations=1, final_residual_norm=res, converged=res <= tol[0])
+        return x_new, SolveReport(iterations=1, final_residual_norm=res)
+    tol = NEWTON_TOL_FACTOR * (1.0 + np.max(np.abs(x[None, :]), axis=1))
     X, iterations, res = _midpoint_newton(sys, x[None, :], dt, tol)
-    return X[0], SolveReport(iterations, float(res[0]), True)
+    return X[0], SolveReport(iterations, float(res[0]))
 
 
 def compose(step, x0, dt: float, steps: int) -> Trajectory:

@@ -15,6 +15,7 @@ and is resolved by a coincident-point branch below the radius threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -52,10 +53,6 @@ class KernelSpec:
     def to_dict(self):
         return {"family": self.family, "epsilon": float(self.epsilon)}
 
-    @staticmethod
-    def from_dict(doc):
-        return KernelSpec(family=doc["family"], epsilon=float(doc["epsilon"]))
-
 
 def profile_derivs(spec: KernelSpec, s):
     """(h'(s), h''(s)) for array-like squared distances s, in the dtype of s.
@@ -87,12 +84,10 @@ def profile_derivs(spec: KernelSpec, s):
     return -0.5 * e2 * ex, np.where(near, 0.0, e2**2 * ex / (4.0 * t_safe))
 
 
+@cache  # _derivative_terms asks on every greedy pick; profile_derivs takes 3-12 us
 def profile_d1_zero(spec: KernelSpec) -> float:
     """h'(0); the coincident mixed derivative is -2 h'(0) delta_ab."""
-    e2 = spec.epsilon**2
-    return {"gaussian": -e2, "imq": -0.5 * e2, "matern32": -0.5 * e2, "matern52": -e2 / 6.0}[
-        spec.family
-    ]
+    return float(profile_derivs(spec, 0.0)[0])
 
 
 def _check_pair(x, y):

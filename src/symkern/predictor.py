@@ -74,25 +74,14 @@ def _momentum_jacobian(s: Surrogate, q0, p, h: float):
     return M
 
 
-class _Stalled(NoConvergence):
-    """A momentum solve that stalled, with its gradient evaluations and the
-    gradient at its starting point."""
-
-    def __init__(self, message, evals, g_start):
-        super().__init__(message)
-        self.evals, self.g_start = evals, g_start
-
-
 def _solve_momentum(model: PredictorModel, q0, p0, p_start, tol):
-    """Fixed-point iteration on the momentum block, Newton on stall.
+    """Fixed-point sweeps on the momentum block from p_start, Newton once a
+    sweep stalls, both until the residual is at most tol.
 
-    Convergence is declared at max(tol, dt * evaluation noise floor); the
-    best iterate seen is kept, since noise-limited residuals jitter.
-    Returns (P, gradient of s at (q0, P), iterations, residual); raises
-    _Stalled when the best residual stays above the tolerance.
+    Returns (P, gradient of s at (q0, P), gradient evaluations, residual,
+    gradient at (q0, p_start)); a residual above tol means the solve stalled.
     """
     s, dt, n = model.surrogate, model.delta_t, model.n
-    tol_eff = max(tol, dt * model.gradient_noise_floor)
 
     def evaluate(P_):
         """(gradient at (q0, P_), residual vector, its max norm)."""
@@ -100,58 +89,51 @@ def _solve_momentum(model: PredictorModel, q0, p0, p_start, tol):
         F_ = p0 - dt * g_[:n] - P_
         return g_, F_, float(np.max(np.abs(F_)))
 
-    P = p_start.copy()
+    P = p_start
     g, F, res = evaluate(P)
-    evals = 1
-    g_start = g
-    best = (res, P.copy(), g)
-    prev = np.inf
+    evals, g_start, prev = 1, g, np.inf
     for _ in range(FIXED_POINT_MAX):
-        if res <= tol_eff:
-            return P, g, evals, res
-        if res > STALL_RATIO * prev:
+        if res <= tol or res > STALL_RATIO * prev:
             break
         prev = res
         P = P + F
         g, F, res = evaluate(P)
         evals += 1
-        if res < best[0]:
-            best = (res, P.copy(), g)
     # Newton on the momentum block with a finite-difference Jacobian
     for _ in range(NEWTON_MAX):
-        if res <= tol_eff:
-            return P, g, evals, res
+        if res <= tol:
+            break
         JF = -dt * _momentum_jacobian(s, q0, P, 1e-7) - np.eye(n)
         P = P - np.linalg.solve(JF, F)
         g, F, res = evaluate(P)
         evals += 2 * n + 1          # the Jacobian's 2n evaluations and this one
-        if res < best[0]:
-            best = (res, P.copy(), g)
-    if best[0] <= tol_eff:
-        return best[1], best[2], evals, best[0]
-    raise _Stalled(f"momentum solve stalled at residual {best[0]:.3e} (tol {tol_eff:.3e})",
-                   evals, g_start)
+    return P, g, evals, res, g_start
 
 
 def predict_step(model: PredictorModel, x0, tol_factor: float = DEFAULT_TOL_FACTOR):
-    """One macro step of the kernel predictor; returns (state, report)."""
+    """One macro step of the kernel predictor; returns (state, report).
+
+    The momentum solve stops at max(tol_factor (1 + max|p0|), dT * gradient
+    noise floor).  A solve that stalls is restarted once from the explicit
+    guess p0 - dT ds/dq(q0, p0); NoConvergence when that one stalls too.
+    """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.surrogate.dim,):
         raise DimensionMismatch(f"state shape {x0.shape} != ({model.surrogate.dim},)")
-    n = model.n
+    n, dt = model.n, model.delta_t
     q0, p0 = x0[:n], x0[n:]
     if model.surrogate.size == 0:
-        return x0.copy(), SolveReport(iterations=0, final_residual_norm=0.0, converged=True)
-    tol = tol_factor * (1.0 + np.max(np.abs(p0), initial=0.0))
-    try:
-        P, g, evals, res = _solve_momentum(model, q0, p0, p0, tol)
-    except _Stalled as first:
-        # restart from the explicit guess; the first attempt began at x0
-        P, g, evals, res = _solve_momentum(model, q0, p0,
-                                           p0 - model.delta_t * first.g_start[:n], tol)
-        evals += first.evals
-    Q = q0 + model.delta_t * g[n:]
-    return np.concatenate([Q, P]), SolveReport(evals, res, True)
+        return x0.copy(), SolveReport(iterations=0, final_residual_norm=0.0)
+    tol = max(tol_factor * (1.0 + np.max(np.abs(p0), initial=0.0)),
+              dt * model.gradient_noise_floor)
+    P, g, evals, res, g_start = _solve_momentum(model, q0, p0, p0, tol)
+    if not res <= tol:                  # a NaN residual stalls too
+        P, g, more, res, _ = _solve_momentum(model, q0, p0, p0 - dt * g_start[:n], tol)
+        evals += more
+        if not res <= tol:
+            raise NoConvergence(f"momentum solve stalled at residual {res:.3e} (tol {tol:.3e})")
+    Q = q0 + dt * g[n:]
+    return np.concatenate([Q, P]), SolveReport(evals, res)
 
 
 def rollout(model: PredictorModel, x0, num_steps: int) -> Trajectory:

@@ -272,33 +272,51 @@ def surrogate_to_dict(s: Surrogate, delta_t: float) -> dict:
     }
 
 
+def _object(doc, keys, what):
+    """Raise InvalidModel unless doc is a JSON object with exactly these keys."""
+    if not isinstance(doc, dict) or set(doc) != set(keys):
+        raise InvalidModel(f"{what} is a JSON object with exactly the keys {', '.join(keys)}")
+
+
 def surrogate_from_dict(doc) -> tuple[Surrogate, float]:
     """Inverse of surrogate_to_dict; returns (surrogate, delta_t).
 
     Model files come from outside the program, so the document is checked
-    in full: whatever surrogate_to_dict could not have written raises
-    InvalidModel.
+    in full: whatever surrogate_to_dict could not have written (another key,
+    a version other than the integer 1, a bool or a string for a number)
+    raises InvalidModel.  The "system" object that experiments add is ignored.
     """
-    keys = ("version", "kernel", "dim", "delta_T", "functionals", "coeffs")
-    if not isinstance(doc, dict) or any(k not in doc for k in keys):
-        raise InvalidModel(f"a model is a JSON object with the keys {', '.join(keys)}")
-    if doc["version"] != SERIAL_VERSION:
-        raise InvalidModel(f"unsupported model version {doc['version']!r}")
-    dim, funcs = doc["dim"], doc["functionals"]
+    if isinstance(doc, dict) and isinstance(doc.get("system"), dict):
+        doc = {k: v for k, v in doc.items() if k != "system"}
+    _object(doc, ("version", "kernel", "dim", "delta_T", "functionals", "coeffs"),
+            "a model (besides an optional system object)")
+    version, dim, funcs, kern = doc["version"], doc["dim"], doc["functionals"], doc["kernel"]
+    if type(version) is not int or version != SERIAL_VERSION:
+        raise InvalidModel(f"unsupported model version {version!r}")
     if type(dim) is not int or dim < 1:
         raise InvalidModel(f"dim must be a positive integer, got {dim!r}")
+    _object(kern, ("family", "epsilon"), "kernel")
+    if not isinstance(funcs, list):
+        raise InvalidModel("functionals must be a list")
+    for f in funcs:
+        _object(f, ("center", "coord"), "every functional")
+    lists = [doc["coeffs"], *(f["center"] for f in funcs)]
+    if not all(isinstance(v, list) for v in lists) or not all(
+            type(v) in (int, float)
+            for v in [kern["epsilon"], doc["delta_T"], *(v for vs in lists for v in vs)]):
+        raise InvalidModel("epsilon and delta_T must be numbers, coeffs and centers lists of them")
     try:
-        kernel = KernelSpec.from_dict(doc["kernel"])
+        kernel = KernelSpec(kern["family"], float(kern["epsilon"]))
         delta_t = float(doc["delta_T"])
         centers = np.array([f["center"] for f in funcs], dtype=float)
         if not funcs:
             centers = centers.reshape(0, dim)    # ValueError past numpy's size limit
-        coords = [f["coord"] for f in funcs]
         coeffs = np.array(doc["coeffs"], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidModel(f"malformed model entry: {type(exc).__name__}: {exc}") from None
     if funcs and centers.shape != (len(funcs), dim):
         raise InvalidModel(f"every center must be a list of dim={dim} numbers")
+    coords = [f["coord"] for f in funcs]
     if not all(type(a) is int and 0 <= a < dim for a in coords):
         raise InvalidModel(f"every coord must be an integer in [0, {dim})")
     if coeffs.shape != (len(funcs),):

@@ -5,11 +5,14 @@ with h' and h'' from separate profile functions; the row loops of the
 triangular solves, the quadratic form and the Gram mirror; the
 from-scratch native-space error that surrogate.target_errors gives for
 every prefix of a selection; the f-greedy loop that carries the
-validation pool through every pick; and the error series of one test
+validation pool through every pick; the error series of one test
 trajectory at a time, with their mean, that metrics.compute_metrics and
 metrics.mean_series replaced with one pass over the stacked trajectories;
-and the implicit-midpoint Newton with its matrix J H from an einsum
-against J, where integrators._midpoint_newton swaps the row blocks of H.
+the implicit-midpoint Newton with its matrix J H from an einsum
+against J, where integrators._midpoint_newton swaps the row blocks of H;
+and the predictor's momentum solve that kept a copy of the best iterate
+and raised a stall exception, where predictor._solve_momentum returns its
+last iterate and predict_step reads a stall from the residual.
 The fast forms must reproduce them bit for bit, so the tests compare with
 np.array_equal, or byte for byte where the sign of a zero matters.  The
 forms that only the tests use live here too: the kernel value, one mixed
@@ -22,7 +25,7 @@ import numpy as np
 from symkern import kernels, surrogate
 from symkern.greedy import POWER_CUTOFF
 from symkern.errors import NoConvergence
-from symkern.integrators import NEWTON_MAX_ITER, step_count
+from symkern.integrators import NEWTON_MAX_ITER, SolveReport, step_count
 from symkern.kernels import (
     COINCIDENT_R2,
     LONG,
@@ -33,6 +36,13 @@ from symkern.kernels import (
 )
 from symkern.linalg import cholesky_factor, cholesky_solve
 from symkern.metrics import MetricSeries
+from symkern.predictor import (
+    DEFAULT_TOL_FACTOR,
+    FIXED_POINT_MAX,
+    NEWTON_MAX,
+    STALL_RATIO,
+    _momentum_jacobian,
+)
 from symkern.surrogate import Surrogate, _functional_arrays
 from symkern.systems import apply_j, jmat
 
@@ -102,6 +112,14 @@ def power_function(spec, selected, query):
     G = surrogate.gram_matrix(spec, selected)
     proj = float(v @ cholesky_solve(G, v))
     return float(np.sqrt(max(p0 - proj, 0.0)))
+
+
+def profile_d1_zero_table(spec):
+    """h'(0) from the per-family table that kernels.profile_d1_zero replaced."""
+    e2 = spec.epsilon**2
+    return {"gaussian": -e2, "imq": -0.5 * e2, "matern32": -0.5 * e2, "matern52": -e2 / 6.0}[
+        spec.family
+    ]
 
 
 def profile_d1(spec, s):
@@ -362,3 +380,75 @@ def midpoint_newton(sys, X, dt, tol):
         DF = eye[None, :, :] - 0.5 * dt * np.einsum("ij,mjk->mik", J, sys.hess_many(mid))
         Xn = Xn - np.linalg.solve(DF, F[:, :, None])[:, :, 0]
     raise NoConvergence("midpoint Newton did not converge")
+
+
+class _Stalled(NoConvergence):
+    """A momentum solve that stalled, with its gradient evaluations and the
+    gradient at its starting point."""
+
+    def __init__(self, message, evals, g_start):
+        super().__init__(message)
+        self.evals, self.g_start = evals, g_start
+
+
+def solve_momentum(model, q0, p0, p_start, tol):
+    """The momentum solve that keeps the best iterate seen: fixed-point
+    sweeps, Newton on stall, _Stalled when the best residual stays above
+    max(tol, dt * noise floor)."""
+    s, dt, n = model.surrogate, model.delta_t, model.n
+    tol_eff = max(tol, dt * model.gradient_noise_floor)
+
+    def evaluate(P_):
+        g_ = s.gradient_precise(np.concatenate([q0, P_]))
+        F_ = p0 - dt * g_[:n] - P_
+        return g_, F_, float(np.max(np.abs(F_)))
+
+    P = p_start.copy()
+    g, F, res = evaluate(P)
+    evals = 1
+    g_start = g
+    best = (res, P.copy(), g)
+    prev = np.inf
+    for _ in range(FIXED_POINT_MAX):
+        if res <= tol_eff:
+            return P, g, evals, res
+        if res > STALL_RATIO * prev:
+            break
+        prev = res
+        P = P + F
+        g, F, res = evaluate(P)
+        evals += 1
+        if res < best[0]:
+            best = (res, P.copy(), g)
+    for _ in range(NEWTON_MAX):
+        if res <= tol_eff:
+            return P, g, evals, res
+        JF = -dt * _momentum_jacobian(s, q0, P, 1e-7) - np.eye(n)
+        P = P - np.linalg.solve(JF, F)
+        g, F, res = evaluate(P)
+        evals += 2 * n + 1
+        if res < best[0]:
+            best = (res, P.copy(), g)
+    if best[0] <= tol_eff:
+        return best[1], best[2], evals, best[0]
+    raise _Stalled(f"momentum solve stalled at residual {best[0]:.3e} (tol {tol_eff:.3e})",
+                   evals, g_start)
+
+
+def predict_step(model, x0, tol_factor=DEFAULT_TOL_FACTOR):
+    """One predictor macro step through solve_momentum, restarted once from
+    the explicit guess when the first attempt stalls."""
+    x0 = np.asarray(x0, dtype=float)
+    n = model.n
+    q0, p0 = x0[:n], x0[n:]
+    if model.surrogate.size == 0:
+        return x0.copy(), SolveReport(0, 0.0)
+    tol = tol_factor * (1.0 + np.max(np.abs(p0), initial=0.0))
+    try:
+        P, g, evals, res = solve_momentum(model, q0, p0, p0, tol)
+    except _Stalled as first:
+        P, g, evals, res = solve_momentum(model, q0, p0,
+                                          p0 - model.delta_t * first.g_start[:n], tol)
+        evals += first.evals
+    Q = q0 + model.delta_t * g[n:]
+    return np.concatenate([Q, P]), SolveReport(evals, res)

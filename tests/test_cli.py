@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from symkern.cli import main
+from symkern.kernels import LONG_EPS
 from symkern.systems import MAX_DOF
 
 MINI = {
@@ -69,8 +70,11 @@ def test_train_failure_leaves_manifest(tmp_path, capsys, monkeypatch):
 def assert_runtime(manifest):
     # the BLAS and its thread settings, on which the artifact bits depend
     runtime = manifest["runtime"]
-    assert set(runtime) == {"numpy", "blas", "blas_version", "threads_env"}
+    assert set(runtime) == {"numpy", "blas", "blas_version", "threads_env", "longdouble_nmant"}
     assert runtime["numpy"] == np.__version__
+    # the predictor's bits and its noise floor LONG_EPS follow the mantissa
+    assert runtime["longdouble_nmant"] == np.finfo(np.longdouble).nmant
+    assert LONG_EPS == 2.0 ** -runtime["longdouble_nmant"]
     assert isinstance(runtime["blas"], str) and isinstance(runtime["blas_version"], str)
     assert set(runtime["threads_env"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                            "MKL_NUM_THREADS"}
@@ -349,10 +353,25 @@ def _model_text(**over):
     _model_text(kernel={"family": "gaussian", "epsilon": 10**400}),
     _model_text(kernel={"family": "gaussian", "epsilon": 1e100}),
     _model_text(dim=2**60, functionals=[], coeffs=[]),
+    _model_text(kernel={"family": "gaussian", "epsilon": True}),
+    _model_text(delta_T="0.1"),
+    _model_text(functionals=[{"center": ["0.1", 0.2], "coord": 0}, MODEL["functionals"][1]]),
+    _model_text(functionals=[{"center": [True, 0.2], "coord": 0}, MODEL["functionals"][1]]),
+    _model_text(coeffs=["1e3", -0.25]),
+    _model_text(coeffs=[False, -0.25]),
+    _model_text(version=True),
+    _model_text(version=1.0),
+    _model_text(note="extra"),
+    _model_text(kernel={"family": "gaussian", "epsilon": 1.0, "scale": 2.0}),
+    _model_text(functionals=[{"center": [0.1, 0.2], "coord": 0, "weight": 1.0},
+                             MODEL["functionals"][1]]),
 ], ids=["one-coeff-two-functionals", "short-centers", "coord-out-of-range", "no-kernel",
         "negative-delta-T", "top-level-list", "malformed-json", "nan-coeff", "odd-dim",
         "kernel-not-object", "epsilon-square-overflows", "epsilon-int-overflows",
-        "epsilon-fourth-power-overflows", "empty-model-dim-overflows"])
+        "epsilon-fourth-power-overflows", "empty-model-dim-overflows", "epsilon-bool",
+        "delta-T-string", "center-string", "center-bool", "coeff-string", "coeff-bool",
+        "version-bool", "version-float", "unknown-top-level-key", "unknown-kernel-key",
+        "unknown-functional-key"])
 def test_predict_bad_model_exit_code(tmp_path, capsys, text):
     model = tmp_path / "model.json"
     model.write_text(text)

@@ -274,3 +274,15 @@ def test_sq_norms_within_ulps_of_einsum(d):
     want = np.einsum("ij,ij->i", R, R)
     got = kernels._sq_norms(np.ascontiguousarray(R.T))
     assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_profile_d1_zero_equals_family_table_bitwise(fam):
+    rng = np.random.default_rng(5)
+    epsilons = np.concatenate([np.geomspace(1e-30, 1e19, 4001), 10.0 ** rng.uniform(-30, 19, 4000),
+                               [0.5, 1.0, 2.0, 1e-300, 1e77]])
+    for eps in epsilons:
+        spec = KernelSpec(fam, float(eps))
+        got = kernels.profile_d1_zero(spec)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(ref.profile_d1_zero_table(spec)).tobytes()

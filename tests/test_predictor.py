@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import kernel_reference as ref
 from symkern.data import build_hb_dataset
+from symkern.errors import NoConvergence
 from symkern.greedy import GreedyConfig, train_f_greedy
 from symkern import predictor
 from symkern.kernels import FAMILIES, KernelSpec
@@ -34,7 +35,7 @@ def test_empty_surrogate_is_identity():
     model = PredictorModel(Surrogate.empty(KernelSpec("gaussian", 1.0), 2), 0.1)
     x = np.array([0.3, -0.7])
     y, rep = predict_step(model, x)
-    assert np.array_equal(y, x) and rep.converged
+    assert np.array_equal(y, x)
     traj = rollout(model, x, 5)
     assert np.allclose(traj.states, x)
     assert symplecticity_defect(model, x) <= 1e-12
@@ -203,23 +204,21 @@ def assert_solves_update(model, x0, x1):
 
 def test_newton_fallback_converges(solver_spies):
     model, x0 = steep_model(0)
-    x1, report = predict_step(model, x0)
+    x1, _ = predict_step(model, x0)
     assert len(solver_spies["starts"]) == 1             # no restart
     assert solver_spies["linear_solves"] >= 1            # Newton was entered
-    assert report.converged
     assert_solves_update(model, x0, x1)
 
 
 def test_restart_from_explicit_guess(solver_spies):
     model, x0 = steep_model(47)
-    x1, report = predict_step(model, x0)
+    x1, _ = predict_step(model, x0)
     n = model.n
     first, second = solver_spies["starts"]
     assert np.array_equal(first, x0[n:])
     g0 = model.surrogate.gradient_precise(x0)
     assert np.array_equal(second, x0[n:] - model.delta_t * g0[:n])
     assert solver_spies["linear_solves"] >= 1
-    assert report.converged
     assert_solves_update(model, x0, x1)
 
 
@@ -239,3 +238,31 @@ def test_rollout_times_are_step_multiples():
     model, _, _ = harmonic_model(m=25, dt=0.05)
     traj = rollout(model, np.array([0.5, 0.0]), 9)
     assert traj.times.tobytes() == (np.arange(10) * 0.05).tobytes()
+
+
+def test_solve_equals_best_iterate_reference():
+    # the solve that kept a copy of its best iterate returned the last one
+    # whenever it converged: every iterate before the last is followed by a
+    # convergence check.  Seed 0 enters Newton and seed 47 restarts.
+    stalled = 0
+    for seed in range(300):
+        model, x0 = steep_model(seed)
+        try:
+            want, want_report = ref.predict_step(model, x0)
+        except NoConvergence:
+            stalled += 1
+            with pytest.raises(NoConvergence, match="momentum solve stalled"):
+                predict_step(model, x0)
+            continue
+        got, report = predict_step(model, x0)
+        assert got.tobytes() == want.tobytes()
+        assert report.iterations == want_report.iterations
+        assert report.final_residual_norm == want_report.final_residual_norm
+    assert 0 < stalled < 300
+
+
+def test_nan_residual_is_a_stall():
+    # a NaN gradient gives a NaN residual, which is not above any tolerance
+    model, _ = steep_model(0)
+    with pytest.raises(NoConvergence, match="residual nan"):
+        predict_step(model, np.array([np.nan, 0.1]))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import kernel_reference as ref
 from symkern import kernels
-from symkern.errors import DimensionMismatch, DuplicateFunctional
+from symkern.errors import DimensionMismatch, DuplicateFunctional, InvalidModel
 from symkern.kernels import FAMILIES, KernelSpec, mixed2_accumulate_precise
 from symkern.surrogate import (
     DerivFunctional,
@@ -287,6 +287,50 @@ def test_serialization_round_trip():
     assert np.array_equal(s2.coeffs, s.coeffs)
     x = rng.uniform(-1, 1, 3)
     assert ref.surrogate_value(s2, x) == ref.surrogate_value(s, x)
+
+
+def _edited(edit):
+    """What surrogate_to_dict writes for a two-functional model, edited."""
+    s = Surrogate.from_functionals(GAUSS, [DerivFunctional(np.array([0.1, 0.2]), 0),
+                                           DerivFunctional(np.array([-0.3, 0.4]), 1)],
+                                   [0.5, -0.25])
+    doc = json.loads(json.dumps(surrogate_to_dict(s, 0.1)))
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["kernel"].update(epsilon=True), "must be numbers"),
+    (lambda d: d.update(delta_T="0.1"), "must be numbers"),
+    (lambda d: d["functionals"][0]["center"].__setitem__(0, "0.1"), "must be numbers"),
+    (lambda d: d["functionals"][1]["center"].__setitem__(1, False), "must be numbers"),
+    (lambda d: d.update(coeffs=["1e3", -0.25]), "must be numbers"),
+    (lambda d: d.update(coeffs=[True, -0.25]), "must be numbers"),
+    (lambda d: d["functionals"][0].update(center="0.1"), "coeffs and centers lists"),
+    (lambda d: d.update(coeffs={"0": 0.5}), "coeffs and centers lists"),
+    (lambda d: d.update(version=True), "unsupported model version True"),
+    (lambda d: d.update(version=1.0), "unsupported model version 1.0"),
+    (lambda d: d.update(extra=None), "exactly the keys version, kernel"),
+    (lambda d: d.update(system="pendulum"), "exactly the keys version, kernel"),
+    (lambda d: d["kernel"].update(scale=1.0), "kernel is a JSON object with exactly"),
+    (lambda d: d["functionals"][1].update(weight=1.0), "every functional is a JSON object"),
+    (lambda d: d["functionals"][1].pop("coord"), "every functional is a JSON object"),
+], ids=["epsilon-bool", "delta-T-string", "center-string", "center-bool", "coeff-string",
+        "coeff-bool", "center-not-list", "coeffs-not-list", "version-bool", "version-float",
+        "unknown-key", "system-not-object", "unknown-kernel-key", "unknown-functional-key",
+        "missing-coord"])
+def test_model_document_is_exactly_what_to_dict_writes(edit, message):
+    # surrogate_from_dict coerces nothing: a string or bool where
+    # surrogate_to_dict writes a number, another version, or a key it does
+    # not write is an InvalidModel
+    with pytest.raises(InvalidModel, match=message):
+        surrogate_from_dict(_edited(edit))
+
+
+def test_model_document_may_name_its_system():
+    # experiment model files carry a "system" object beside the surrogate
+    assert surrogate_from_dict(_edited(lambda d: None))[1] == 0.1
+    assert surrogate_from_dict(_edited(lambda d: d.update(system={"experiment": "x"})))[1] == 0.1
 
 
 def test_dimension_checks():

@@ -5,9 +5,9 @@ look them up by, and raises at install time for a name that is gone.  These
 tests install the tracer, so a refactor that removes or renames a traced
 name, or stops calling it through the traced module, fails here rather
 than in a later benchmark run (perfbench/run.py divides by the rollout
-time the coarse spans record).  The kernel and Newton forms behind those
-names must also give the artifact bytes of the reference forms they
-replaced.
+time the coarse spans record).  The kernel, Newton and predictor forms
+behind those names must also give the artifact bytes of the reference
+forms they replaced.
 """
 
 import os
@@ -15,7 +15,7 @@ import os
 import pytest
 
 import kernel_reference as ref
-from symkern import greedy, integrators, kernels, surrogate
+from symkern import greedy, integrators, kernels, predictor, surrogate
 from symkern.config import default_config
 from symkern.experiment import run_experiment
 
@@ -108,13 +108,14 @@ def test_verify_synthetic_checks_pass(monkeypatch, tmp_path):
 
 
 # (module, name, reference form): the call sites the pipeline reaches the
-# float64 kernel blocks and the midpoint Newton through.  No stage of an
-# experiment calls mixed2_pairs; it is patched so that one that starts to
-# is covered.
+# float64 kernel blocks, the midpoint Newton and the predictor's macro step
+# through.  No stage of an experiment calls mixed2_pairs; it is patched so
+# that one that starts to is covered.
 REFERENCE_FORMS = [(greedy, "mixed2_field", ref.mixed2_field),
                    (surrogate, "mixed2_accumulate", ref.mixed2_accumulate),
                    (surrogate, "mixed2_pairs", ref.mixed2_pairs),
-                   (integrators, "_midpoint_newton", ref.midpoint_newton)]
+                   (integrators, "_midpoint_newton", ref.midpoint_newton),
+                   (predictor, "predict_step", ref.predict_step)]
 
 
 @pytest.mark.parametrize("experiment", ["pendulum", "chain", "wave"])
@@ -134,4 +135,4 @@ def test_artifacts_equal_under_reference_forms(monkeypatch, tmp_path, experiment
     assert artifact_digest(tmp_path / "shipped") == artifact_digest(tmp_path / "reference")
     # wave's reduced system is quadratic: its midpoint steps take no Newton
     newton = set() if experiment == "wave" else {"_midpoint_newton"}
-    assert fired == {"mixed2_field", "mixed2_accumulate"} | newton
+    assert fired == {"mixed2_field", "mixed2_accumulate", "predict_step"} | newton
