@@ -28,16 +28,12 @@ SCALE_MAX = 1e30
 # micro-step run; every delta_t takes at most as many steps.
 MAX_MICRO_STEPS = 10**6
 
-# model selection trains every (family, epsilon) candidate to m_star and
-# compares validation residuals there; the default ties m_star to the center
-# budget because early-decay winners often cross over before the budget
 _COMMON = {
     "seed": 2025,
     "scenario": "A",
     "micro_dt": 1e-3,
     "validation_fraction": 0.8,
-    "selection": {"families": list(FAMILIES), "epsilons": [0.5, 1.0, 2.0, 4.0, 8.0],
-                  "m_star": None},
+    "selection": {"families": list(FAMILIES), "epsilons": [0.5, 1.0, 2.0, 4.0, 8.0]},
     "greedy": {"max_centers": 300, "residual_tolerance": 0.0},
     "test": {"count": 10, "horizon": 6.0},
     "emit_datasets": False,
@@ -127,8 +123,8 @@ def _kind(val) -> str:
 
 
 # Kinds a leaf accepts, by the kind of its default: a number leaf also takes
-# an integer, and the one null default, selection.m_star, takes an integer.
-_ACCEPTS = {"a number": ("a number", "an integer"), "null": ("an integer", "null")}
+# an integer.
+_ACCEPTS = {"a number": ("a number", "an integer")}
 
 
 def _leaves(cfg: dict, schema: dict, path: str = ""):
@@ -166,7 +162,7 @@ def _ranges(cfg: dict) -> dict:
     inf = math.inf
     pos, signed = (1 / SCALE_MAX, SCALE_MAX), (-SCALE_MAX, SCALE_MAX)
     table = {"seed": (0, inf), "test.count": (1, MAX_DRAWS), "greedy.max_centers": (1, inf),
-             "greedy.residual_tolerance": (0, inf), "selection.m_star": (1, inf)}
+             "greedy.residual_tolerance": (0, inf)}
     if cfg["experiment"] == "pendulum":
         table.update({"system.mass": pos, "system.length": pos, "system.gravity": pos})
         table.update((f"sampling.grid_counts[{i}]", (1, inf))
@@ -204,18 +200,24 @@ def validate(cfg: dict) -> dict:
     # leaves come in config order, so a wave size is checked before the
     # reduced_modes bound derived from it
     for name, v, _ in leaves:
-        if name not in ranges or v is None:
+        if name not in ranges:
             continue
         lo, hi = ranges[name]
         if not lo <= v <= hi:
             rule = (f"be >= {_bound(lo)}" if hi == math.inf
                     else f"lie in [{_bound(lo)}, {_bound(hi)}]")
             raise ConfigError(f"{name} must {rule}, got {v}")
-    for key in ("families", "epsilons"):
-        if not cfg["selection"][key]:
-            raise ConfigError(f"selection.{key} must be nonempty")
-    for fam in cfg["selection"]["families"]:
-        for eps in cfg["selection"]["epsilons"]:
+    sel = cfg["selection"]
+    for name, values in (("selection.families", sel["families"]),
+                         ("selection.epsilons", sel["epsilons"]),
+                         ("delta_t_list", cfg["delta_t_list"])):
+        if not values:
+            raise ConfigError(f"{name} must be nonempty")
+        # 1 == 1.0: a repeat would train, and write, the same thing twice
+        if len(set(values)) < len(values):
+            raise ConfigError(f"{name} must not repeat a value, got {values}")
+    for fam in sel["families"]:
+        for eps in sel["epsilons"]:
             try:
                 KernelSpec(fam, float(eps))
             except ValueError as exc:
@@ -233,8 +235,6 @@ def validate(cfg: dict) -> dict:
     micro = cfg["micro_dt"]
     if not micro > 0:
         raise ConfigError("micro_dt must be positive")
-    if not cfg["delta_t_list"]:
-        raise ConfigError("delta_t_list must be nonempty")
     horizon = cfg["test"]["horizon"]
     for dt in cfg["delta_t_list"]:
         if step_count(dt, micro) is None:

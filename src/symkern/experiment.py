@@ -94,8 +94,9 @@ def test_states(cfg, sys):
     return np.concatenate([q, np.zeros((count, sys.n))], axis=1)
 
 
-def select_model(families, epsilons, m_star, train, val):
-    """Grid search over (family, epsilon) by validation residual at m_star.
+def select_model(families, epsilons, greedy_cfg, train, val):
+    """Grid search over (family, epsilon) by validation residual, every
+    candidate trained under greedy_cfg.
 
     Candidates run in canonical family order with epsilons ascending, so
     ties resolve to the earlier family and the smaller shape parameter.
@@ -109,7 +110,7 @@ def select_model(families, epsilons, m_star, train, val):
         for eps in sorted(epsilons):
             spec = KernelSpec(fam, float(eps))
             try:
-                fit = train_f_greedy(spec, train, GreedyConfig(max_centers=m_star))
+                fit = train_f_greedy(spec, train, greedy_cfg)
                 train_e = max_residual_error(fit[0], train)
                 val_e = max_residual_error(fit[0], val)
             except SymkernError as exc:
@@ -149,21 +150,16 @@ def train_one(cfg, sys_, states, dt, out_dir, sel_rows):
         _write_dataset(out_dir, tag, data)
     train, val = split_train_validation(data, cfg["validation_fraction"], cfg["seed"] + 1)
     sel = cfg["selection"]
-    m_star = sel["m_star"] if sel["m_star"] is not None else center_budget(cfg)
-    kspec, winner, rows = select_model(sel["families"], sel["epsilons"], m_star, train, val)
+    greedy_cfg = GreedyConfig(max_centers=center_budget(cfg),
+                              residual_tolerance=cfg["greedy"]["residual_tolerance"])
+    kspec, winner, rows = select_model(sel["families"], sel["epsilons"], greedy_cfg, train, val)
     for fam, eps, tr, va, note in rows:
         chosen = "selected" if (fam, eps) == (kspec.family, kspec.epsilon) else note
         sel_rows.append((dt, fam, eps, tr, va, chosen))
 
-    # the budget fit reuses the winner's picks when they are the ones it
-    # would make (m_star at the budget, no residual under the tolerance)
-    # and then only replays the validation pool
-    surr, trace = train_f_greedy(
-        kspec, train,
-        GreedyConfig(max_centers=center_budget(cfg),
-                     residual_tolerance=cfg["greedy"]["residual_tolerance"]),
-        validation=val, picks=winner,
-    )
+    # the winner ran under this config, so the budget fit keeps its picks
+    # and only replays the validation pool
+    surr, trace = train_f_greedy(kspec, train, greedy_cfg, validation=val, picks=winner)
     write_csv(os.path.join(out_dir, f"greedy_trace_dt{tag}.csv"),
               ["iter", "selected_index", "coord", "max_residual", "power_value",
                "rkhs_error"], trace.rows())

@@ -276,7 +276,7 @@ def test_criterion_12_determinism(tmp_path):
     cfg["delta_t_list"] = [0.1]
     cfg["greedy"]["max_centers"] = 60
     cfg["selection"] = {"families": ["gaussian", "matern52"],
-                        "epsilons": [0.5, 1.0], "m_star": None}
+                        "epsilons": [0.5, 1.0]}
     cfg["test"] = {"count": 3, "horizon": 2.0}
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     run_experiment(cfg, str(out_a))

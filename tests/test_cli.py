@@ -185,7 +185,7 @@ def test_config_error_exit_code(tmp_path, capsys):
     ({"seed": 1.5}, "seed: expected an integer, got a number"),
     ({"selection": {"epsilons": [1.0, "2"]}},
      "selection.epsilons[1]: expected a number or an integer, got a string"),
-    ({"selection": {"m_star": 2.5}}, "selection.m_star: expected an integer or null, got a number"),
+    ({"selection": {"m_star": 2}}, "unknown config key: selection.m_star"),
 ])
 def test_config_leaf_type_exit_code(tmp_path, capsys, override, where):
     bad = tmp_path / "bad.json"
@@ -217,6 +217,12 @@ def test_config_leaf_type_exit_code(tmp_path, capsys, override, where):
      "selection.families must be nonempty"),
     ("train", {"experiment": "pendulum", "selection": {"families": ["cubic"], "epsilons": []}},
      "selection.epsilons must be nonempty"),
+    ("train", {"experiment": "pendulum", "selection": {"families": ["gaussian", "gaussian"]}},
+     "selection.families must not repeat a value, got ['gaussian', 'gaussian']"),
+    ("train", {"experiment": "pendulum", "selection": {"epsilons": [1.0, 1, 1.0]}},
+     "selection.epsilons must not repeat a value, got [1.0, 1, 1.0]"),
+    ("experiment", {"experiment": "pendulum", "delta_t_list": [0.1, 0.1]},
+     "delta_t_list must not repeat a value, got [0.1, 0.1]"),
     ("train", {"experiment": "pendulum", "delta_t_list": [float("nan")]},
      "delta_t_list[0]: expected a finite number, got nan"),
     ("experiment", {"experiment": "pendulum", "test": {"horizon": float("inf")}},
@@ -285,6 +291,7 @@ def test_config_leaf_type_exit_code(tmp_path, capsys, override, where):
 ], ids=["grid-counts-length", "zero-mass", "negative-length", "empty-chain",
         "zero-target-count", "epsilon-square-overflows", "epsilon-fourth-power-overflows",
         "epsilon-int-overflows", "zero-test-count", "empty-families", "empty-epsilons",
+        "repeated-family", "repeated-epsilon", "repeated-delta-t",
         "nan-delta-t", "infinite-horizon", "nan-chain-bound", "int-chain-bound-overflows",
         "subnormal-micro-dt", "horizon-off-micro-grid", "micro-dt-ratio-off-grid",
         "zero-snapshot-modes",

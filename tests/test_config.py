@@ -106,6 +106,6 @@ def test_every_numeric_leaf_is_range_checked():
             ranges = _ranges(cfg)
             leaves = list(_leaves(cfg, cfg))
             for name, _, ref in leaves:
-                if _kind(ref) in ("a number", "an integer", "null"):
+                if _kind(ref) in ("a number", "an integer"):
                     assert name in ranges or re.sub(r"\[\d+\]$", "", name) in CROSS_FIELD, name
             assert set(ranges) <= {name for name, _, _ in leaves}

@@ -29,7 +29,6 @@ COMMON = {
     ("seed",): st.integers(0, 100),
     ("scenario",): st.sampled_from("AB"),
     ("validation_fraction",): st.floats(0.1, 0.9),
-    ("selection", "m_star"): st.none() | st.integers(1, 6),
     ("greedy", "max_centers"): st.integers(1, 6),
     ("greedy", "residual_tolerance"): st.just(0.0) | st.floats(0.0, 1.0),
     ("test", "count"): st.integers(1, 4),

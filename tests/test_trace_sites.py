@@ -10,6 +10,7 @@ behind those names must also give the artifact bytes of the reference
 forms they replaced.
 """
 
+import json
 import os
 
 import pytest
@@ -61,6 +62,27 @@ def test_coarse_spans_of_a_desk_run(monkeypatch, tmp_path):
     # model selection trains each candidate, then train_one replays the
     # winner's picks in one more train_f_greedy call
     assert tracer.calls("greedy.train_f_greedy") == 1 * (1 + 1)
+
+
+def test_tolerance_stops_selection_and_the_budget_fit_replays(monkeypatch, tmp_path):
+    # a residual tolerance ends every candidate's fit before the cap, and
+    # the budget fit keeps the winner's picks instead of selecting again
+    cfg = _tiny("pendulum")
+    cfg["selection"]["epsilons"] = [1.0, 2.0]
+    cfg["greedy"]["residual_tolerance"] = 9.3
+    select, fits = greedy._select, []
+
+    def spy(kernel, *args):
+        surr, trace = select(kernel, *args)
+        fits.append((kernel.epsilon, len(trace)))
+        return surr, trace
+
+    monkeypatch.setattr(greedy, "_select", spy)
+    summary = run_experiment(cfg, str(tmp_path), rollouts=False)
+    assert [eps for eps, _ in fits] == [1.0, 2.0]
+    centers = dict(fits)[summary["per_dt"]["0.1"]["kernel"]["epsilon"]]
+    model = json.loads((tmp_path / "model_dt0.1.json").read_text())
+    assert 0 < len(model["functionals"]) == centers < cfg["greedy"]["max_centers"]
 
 
 @pytest.mark.parametrize("experiment", ["pendulum", "chain", "wave"])
