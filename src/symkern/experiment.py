@@ -5,7 +5,8 @@ step size, selects the kernel on a validation split, trains to the center
 budget, rolls out seeded test trajectories against the macro midpoint
 baseline and the micro reference, and writes CSV/SVG/model artifacts.
 Where os.fork exists the micro reference runs in a child process while
-the parent trains.
+the parent trains, and model selection fits every other candidate in a
+worker process.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import os
 import pickle
 from dataclasses import replace
+from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -94,33 +96,49 @@ def test_states(cfg, sys):
     return np.concatenate([q, np.zeros((count, sys.n))], axis=1)
 
 
-def select_model(families, epsilons, greedy_cfg, train, val):
+def select_model(families, epsilons, greedy_cfg, train, val, record=None):
     """Grid search over (family, epsilon) by validation residual, every
     candidate trained under greedy_cfg.
 
     Candidates run in canonical family order with epsilons ascending, so
     ties resolve to the earlier family and the smaller shape parameter.
-    Only the best candidate's fit is kept.  Returns (kernel, (surrogate,
-    trace) of its fit, table rows).
+    Only the best candidate's fit is kept.  Where os.fork exists and the
+    grid has two or more candidates, a forked worker fits the candidates
+    at odd positions while this process fits the even ones.  A worker fit
+    reaches the loop as train_f_greedy's picks, so every candidate still
+    costs one train_f_greedy call here and the rows are those of the
+    serial loop.  record, when given, receives the MANIFEST's
+    ``selection`` entry: ``worker`` is null for an inline loop, else
+    ``{candidates, child_s, wait_s, exit, peak_rss_mb}``.  Returns
+    (kernel, (surrogate, trace) of its fit, table rows).
     """
+    specs = [KernelSpec(fam, float(eps)) for fam in FAMILIES if fam in families
+             for eps in sorted(epsilons)]
+    worker = None
+    if len(specs) > 1 and hasattr(os, "fork"):
+        worker = {"candidates": len(specs) // 2, "child_s": None, "wait_s": None,
+                  "exit": None, "peak_rss_mb": None}
+    if record is not None:
+        record["worker"] = worker
     rows = []
     best = None
-    fams = [f for f in FAMILIES if f in families]
-    for fam in fams:
-        for eps in sorted(epsilons):
-            spec = KernelSpec(fam, float(eps))
+    with _Child("model selection", worker) as child:
+        if worker is not None:
+            child.start(partial(train_f_greedy, spec, train, greedy_cfg) for spec in specs[1::2])
+        for k, spec in enumerate(specs):
             try:
-                fit = train_f_greedy(spec, train, greedy_cfg)
+                picks = child.next() if worker is not None and k % 2 else None
+                fit = train_f_greedy(spec, train, greedy_cfg, picks=picks)
                 train_e = max_residual_error(fit[0], train)
                 val_e = max_residual_error(fit[0], val)
             except SymkernError as exc:
-                rows.append((fam, eps, "", "", f"failed:{type(exc).__name__}"))
+                rows.append((spec.family, spec.epsilon, "", "", f"failed:{type(exc).__name__}"))
                 continue
-            rows.append((fam, eps, train_e, val_e, ""))
+            rows.append((spec.family, spec.epsilon, train_e, val_e, ""))
             if best is None or val_e < best[0]:
                 best = (val_e, spec, fit)
             # a losing fit's Newton factor is not held through the next fit
-            del fit
+            del fit, picks
     if best is None:
         raise AllCandidatesFailed("every (family, epsilon) candidate failed to train")
     return best[1], best[2], rows
@@ -137,11 +155,12 @@ def _dt_tag(dt: float) -> str:
     return fmt(float(dt))
 
 
-def train_one(cfg, sys_, states, dt, out_dir, sel_rows):
+def train_one(cfg, sys_, states, dt, out_dir, sel_rows, record=None):
     """Dataset, model selection, and budget training for one macro step.
 
     Writes the greedy trace, convergence curve, and model file; appends to
-    the shared selection table rows.  Returns (kernel, surrogate, trace).
+    the shared selection table rows; record is select_model's.  Returns
+    (kernel, surrogate, trace).
     """
     tag = _dt_tag(dt)
     data = build_hb_dataset(sys_, states, dt, cfg["micro_dt"],
@@ -152,7 +171,8 @@ def train_one(cfg, sys_, states, dt, out_dir, sel_rows):
     sel = cfg["selection"]
     greedy_cfg = GreedyConfig(max_centers=center_budget(cfg),
                               residual_tolerance=cfg["greedy"]["residual_tolerance"])
-    kspec, winner, rows = select_model(sel["families"], sel["epsilons"], greedy_cfg, train, val)
+    kspec, winner, rows = select_model(sel["families"], sel["epsilons"], greedy_cfg, train, val,
+                                       record)
     for fam, eps, tr, va, note in rows:
         chosen = "selected" if (fam, eps) == (kspec.family, kspec.epsilon) else note
         sel_rows.append((dt, fam, eps, tr, va, chosen))
@@ -196,7 +216,8 @@ def run_experiment(cfg, out_dir, rollouts: bool = True):
     """
     validate(cfg)
     ensure_dir(out_dir)
-    manifest = {"config": cfg, "status": "running", "runtime": _runtime(), "stages": []}
+    manifest = {"config": cfg, "status": "running", "runtime": _runtime(), "stages": [],
+                "selection": {}}
 
     def checkpoint(status=None, error=None):
         if status:
@@ -214,13 +235,116 @@ def run_experiment(cfg, out_dir, rollouts: bool = True):
         raise
 
 
+def _peak_rss_mb():
+    """This process's VmHWM in MiB, or None without /proc."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            return next(int(line.split()[1]) / 1024 for line in fh if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        return None
+
+
+class _Child:
+    """A forked process that runs a list of jobs and pickles each one's
+    outcome back over a pipe, in order.
+
+    ``start(jobs)`` forks.  The child sends ``(result, None)`` or
+    ``(None, exception)`` per job, the last one with its wall time and
+    VmHWM, and leaves only through os._exit: it never unwinds into the
+    parent's stack or flushes the stdio it inherited, and an interrupt ends
+    it without a result.  ``next()`` returns the next job's result or
+    raises its exception; the last one reaps the child first.  A child that
+    ends without a result reads as ChildProcessError naming its exit status
+    or signal.  Leaving the with-block kills and reaps a child still alive.
+    ``info`` receives ``child_s``, ``wait_s`` (the time the parent blocked
+    reading) and ``exit``, and ``peak_rss_mb`` where it has that key.
+    """
+
+    def __init__(self, what, info):
+        self.what, self.info = what, info
+        self.pid = self.reader = None
+        self.left = 0
+
+    def start(self, jobs):
+        jobs = list(jobs)
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            self._serve(jobs, write_fd)
+        os.close(write_fd)
+        self.pid, self.reader, self.left = pid, os.fdopen(read_fd, "rb"), len(jobs)
+        self.info["wait_s"] = 0.0
+
+    @staticmethod
+    def _serve(jobs, write_fd):
+        status = 1
+        try:
+            start = perf_counter()
+            with os.fdopen(write_fd, "wb") as fh:
+                for k, job in enumerate(jobs, 1):
+                    try:
+                        item = (job(), None)
+                    except Exception as exc:  # raised again in the parent
+                        item = (None, exc)
+                    if k == len(jobs):
+                        item += (perf_counter() - start, _peak_rss_mb())
+                    pickle.dump(item, fh)
+                    fh.flush()
+            status = 0
+        finally:
+            os._exit(status)
+
+    def next(self):
+        start = perf_counter()
+        try:
+            item = pickle.load(self.reader)
+        except (EOFError, pickle.UnpicklingError):
+            item = None
+        self.left -= 1
+        if item is None or not self.left:
+            self._reap()
+        self.info["wait_s"] += perf_counter() - start
+        code = self.info["exit"]
+        if item is None or code not in (None, 0):
+            how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+            raise ChildProcessError(f"the {self.what} process ended without a result ({how})")
+        if len(item) > 2:
+            self.info["child_s"] = item[2]
+            if "peak_rss_mb" in self.info:
+                self.info["peak_rss_mb"] = item[3]
+        if item[1] is not None:
+            raise item[1]
+        return item[0]
+
+    def _reap(self):
+        self.reader.close()
+        self.reader = None
+        self.info["exit"] = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.pid is not None:
+            import signal  # only on this path, so start-up does not load it
+
+            os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+
+
 class _Reference:
     """The micro reference on the test states, computed in a forked child
     while the parent trains.
 
     Only every stride-th state comes back, stride being the gcd of the
     macro strides: the states compute_metrics reads.  Row 0 holds the test
-    states.  collect() reads the pipe, reaps the child and re-raises its
+    states.  collect() reads the child's result, reaps it and re-raises its
     exception; leaving the with-block any other way kills and reaps it.
     For a quadratic system, or where os.fork does not exist, collect()
     computes inline.  ``info`` is the MANIFEST's ``reference`` entry.
@@ -229,8 +353,8 @@ class _Reference:
     def __init__(self, cfg, sys_):
         self.cfg, self.sys = cfg, sys_
         self.stride = math.gcd(*(step_count(dt, cfg["micro_dt"]) for dt in cfg["delta_t_list"]))
-        self.pid = self.fd = None
         self.info = {"child_s": None, "wait_s": None, "exit": None}
+        self.child = _Child("micro reference", self.info)
 
     def compute(self) -> np.ndarray:
         micro = self.cfg["micro_dt"]
@@ -243,69 +367,21 @@ class _Reference:
         # cheaper than what a live child costs the parent: each page the
         # parent first writes while the child shares it is copied, and a
         # transparent huge page is split (wave-desk: 6 % slower on 2 vCPUs).
-        if self.sys.quadratic or not hasattr(os, "fork"):
-            return self
-        self.fd, write_fd = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(write_fd)
-            self.__exit__()
-            raise
-        if self.pid:
-            os.close(write_fd)
-            return self
-        # the child leaves only through os._exit: it never unwinds into the
-        # parent's stack or flushes the stdio it inherited.  An interrupt
-        # ends it without a result.
-        status = 1
-        try:
-            start = perf_counter()
-            try:
-                result = (self.compute(), None)
-            except Exception as exc:
-                result = (None, exc)
-            blob = pickle.dumps(result + (perf_counter() - start,))
-            with os.fdopen(write_fd, "wb") as fh:
-                fh.write(blob)
-            status = 0
-        finally:
-            os._exit(status)
+        if not self.sys.quadratic and hasattr(os, "fork"):
+            self.child.start([self.compute])
+        return self
 
     def collect(self) -> np.ndarray:
+        if self.child.pid is not None:
+            return self.child.next()
         start = perf_counter()
-        if self.pid is None:
-            try:
-                return self.compute()
-            finally:
-                self.info["child_s"] = self.info["wait_s"] = perf_counter() - start
-        with os.fdopen(self.fd, "rb") as fh:
-            self.fd = None
-            blob = fh.read()
-        code = self._reap()
-        self.info["wait_s"] = perf_counter() - start
-        if code != 0 or not blob:
-            how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-            raise ChildProcessError(f"the micro reference process ended without a result "
-                                    f"({how})")
-        path, exc, self.info["child_s"] = pickle.loads(blob)
-        if exc is not None:
-            raise exc
-        return path
-
-    def _reap(self) -> int:
-        self.info["exit"] = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        self.pid = None
-        return self.info["exit"]
+        try:
+            return self.compute()
+        finally:
+            self.info["child_s"] = self.info["wait_s"] = perf_counter() - start
 
     def __exit__(self, *exc):
-        if self.fd is not None:
-            os.close(self.fd)
-        if self.pid is not None:
-            import signal  # only on this path, so start-up does not load it
-
-            os.kill(self.pid, signal.SIGKILL)
-            self._reap()
+        self.child.__exit__(*exc)
 
 
 def _run_stages(cfg, out_dir, manifest, rollouts):
@@ -318,11 +394,11 @@ def _run_stages(cfg, out_dir, manifest, rollouts):
     states = sample_states(sys_, sampler_for(cfg, sys_))
     stages.append(f"sampled:{states.shape[0]}")
     if not rollouts:
-        return _train_all(cfg, sys_, states, out_dir, stages)[0]
+        return _train_all(cfg, sys_, states, out_dir, manifest)[0]
 
     with _Reference(cfg, sys_) as reference:
         manifest["reference"] = reference.info
-        summary, trained = _train_all(cfg, sys_, states, out_dir, stages)
+        summary, trained = _train_all(cfg, sys_, states, out_dir, manifest)
         ref_path = reference.collect()
     stages.append("reference")
     ics = ref_path[0]
@@ -374,14 +450,17 @@ def _run_stages(cfg, out_dir, manifest, rollouts):
     return summary
 
 
-def _train_all(cfg, sys_, states, out_dir, stages):
+def _train_all(cfg, sys_, states, out_dir, manifest):
     """train_one for every macro step, then the selection table; returns
     (summary, [(dt, tag, surrogate, trace)])."""
+    stages = manifest["stages"]
     sel_rows, trained = [], []
     summary = {"out_dir": out_dir, "per_dt": {}}
-    for dt in cfg["delta_t_list"]:
+    # an integer dT is used, and written, as a float
+    for dt in map(float, cfg["delta_t_list"]):
         tag = _dt_tag(dt)
-        kspec, surr, trace = train_one(cfg, sys_, states, dt, out_dir, sel_rows)
+        record = manifest["selection"][tag] = {}
+        kspec, surr, trace = train_one(cfg, sys_, states, dt, out_dir, sel_rows, record)
         stages.append(f"trained:{tag}:{kspec.family}:{kspec.epsilon}:{surr.size}")
         trained.append((dt, tag, surr, trace))
         summary["per_dt"][tag] = {

@@ -78,11 +78,21 @@ def test_tolerance_stops_selection_and_the_budget_fit_replays(monkeypatch, tmp_p
         return surr, trace
 
     monkeypatch.setattr(greedy, "_select", spy)
-    summary = run_experiment(cfg, str(tmp_path), rollouts=False)
+    if hasattr(os, "fork"):
+        # the worker fits epsilon 2.0 in its own process; this one selects
+        # only for epsilon 1.0, and neither the worker's fit nor the budget
+        # fit selects again here
+        run_experiment(cfg, str(tmp_path / "forked"), rollouts=False)
+        assert [eps for eps, _ in fits] == [1.0]
+        fits.clear()
+        monkeypatch.delattr(os, "fork")
+    summary = run_experiment(cfg, str(tmp_path / "inline"), rollouts=False)
     assert [eps for eps, _ in fits] == [1.0, 2.0]
     centers = dict(fits)[summary["per_dt"]["0.1"]["kernel"]["epsilon"]]
-    model = json.loads((tmp_path / "model_dt0.1.json").read_text())
-    assert 0 < len(model["functionals"]) == centers < cfg["greedy"]["max_centers"]
+    model = (tmp_path / "inline" / "model_dt0.1.json").read_text()
+    assert 0 < len(json.loads(model)["functionals"]) == centers < cfg["greedy"]["max_centers"]
+    if (tmp_path / "forked").exists():
+        assert (tmp_path / "forked" / "model_dt0.1.json").read_text() == model
 
 
 @pytest.mark.parametrize("experiment", ["pendulum", "chain", "wave"])
