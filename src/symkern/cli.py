@@ -18,7 +18,7 @@ from .config import EXPERIMENTS, MAX_MICRO_STEPS, SCALES, load_config
 from .data import build_hb_dataset, sample_states, separability_diagnostic
 from .errors import ConfigError, InvalidModel, SymkernError, UsageError
 from .experiment import build_system, run_experiment, sampler_for
-from .ioutil import ensure_dir, read_json, write_csv
+from .ioutil import ensure_dir, fmt, read_json, write_csv
 from .predictor import PredictorModel, contraction_margin, rollout
 from .surrogate import surrogate_from_dict
 from .systems import resonance_check, step_size_bound
@@ -153,12 +153,12 @@ def _cmd_check_bounds(args):
     horizon = cfg["test"]["horizon"]
     bound = step_size_bound(sys_, states, horizon)
     print(f"system={sys_.name} certified macro step bound: {bound:.6e} (horizon {horizon})")
-    for dt in cfg["delta_t_list"]:
+    for dt in map(float, cfg["delta_t_list"]):
         marker = "OK" if dt < bound else "beyond the certified bound"
-        print(f"  dT={dt}: {marker}")
+        print(f"  dT={fmt(dt)}: {marker}")
         if sys_.quadratic:
             det_d, resonant = resonance_check(sys_, dt)
-            print(f"  dT={dt}: det D = {det_d:.6e} resonant={resonant}")
+            print(f"  dT={fmt(dt)}: det D = {det_d:.6e} resonant={resonant}")
     if args.model:
         model = PredictorModel(surr, delta_t)
         sample = states[: min(50, states.shape[0])]

@@ -4,9 +4,10 @@ A run samples initial states, builds one-step training data per macro
 step size, selects the kernel on a validation split, trains to the center
 budget, rolls out seeded test trajectories against the macro midpoint
 baseline and the micro reference, and writes CSV/SVG/model artifacts.
-Where os.fork exists the micro reference runs in a child process while
-the parent trains, and model selection fits every other candidate in a
-worker process.
+The macro steps are trained and rolled out one at a time, smallest first.
+Where os.fork exists one worker process computes the micro reference and
+then fits selection candidates beside this one, so it fits the next
+step's candidates while this process rolls out the current one.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import struct
+import tempfile
 from dataclasses import replace
 from functools import partial
 from time import perf_counter
@@ -96,52 +99,66 @@ def test_states(cfg, sys):
     return np.concatenate([q, np.zeros((count, sys.n))], axis=1)
 
 
-def select_model(families, epsilons, greedy_cfg, train, val, record=None):
-    """Grid search over (family, epsilon) by validation residual, every
-    candidate trained under greedy_cfg.
+def _candidates(cfg):
+    """The (family, epsilon) grid in canonical order: family order, then
+    epsilons ascending, so ties resolve to the earlier family and the
+    smaller shape parameter."""
+    sel = cfg["selection"]
+    return [KernelSpec(fam, float(eps)) for fam in FAMILIES if fam in sel["families"]
+            for eps in sorted(sel["epsilons"])]
 
-    Candidates run in canonical family order with epsilons ascending, so
-    ties resolve to the earlier family and the smaller shape parameter.
-    Only the best candidate's fit is kept.  Where os.fork exists and the
-    grid has two or more candidates, a forked worker fits the candidates
-    at odd positions while this process fits the even ones.  A worker fit
-    reaches the loop as train_f_greedy's picks, so every candidate still
-    costs one train_f_greedy call here and the rows are those of the
-    serial loop.  record, when given, receives the MANIFEST's
-    ``selection`` entry: ``worker`` is null for an inline loop, else
-    ``{candidates, child_s, wait_s, exit, peak_rss_mb}``.  Returns
-    (kernel, (surrogate, trace) of its fit, table rows).
+
+def select_model(specs, greedy_cfg, train, val, worker, step):
+    """Grid search over the kernels specs, in canonical order, by
+    validation residual, every candidate trained under greedy_cfg.
+
+    The winner is the serial loop's: a candidate replaces the best only at
+    a strictly smaller validation residual, so a tie goes to the earlier
+    one and a NaN first success is never replaced.  This process fits and
+    scores the positions worker.claim(step) gives it.  The positions the
+    worker process took in between come back as their scores, then as
+    fits that pass through train_f_greedy's picks, so every candidate
+    costs one train_f_greedy call here.  The scores decide the best before
+    any of those fits is loaded, so at most the best fit and one other
+    are held.  Returns (kernel, (surrogate, trace) of its fit, table rows).
     """
-    specs = [KernelSpec(fam, float(eps)) for fam in FAMILIES if fam in families
-             for eps in sorted(epsilons)]
-    worker = None
-    if len(specs) > 1 and hasattr(os, "fork"):
-        worker = {"candidates": len(specs) // 2, "child_s": None, "wait_s": None,
-                  "exit": None, "peak_rss_mb": None}
-    if record is not None:
-        record["worker"] = worker
     rows = []
-    best = None
-    with _Child("model selection", worker) as child:
-        if worker is not None:
-            child.start(partial(train_f_greedy, spec, train, greedy_cfg) for spec in specs[1::2])
-        for k, spec in enumerate(specs):
+    best = best_fit = None
+    k = 0
+    while k < len(specs):
+        j = worker.claim(step)
+        own = outcome = None
+        if j < len(specs):
             try:
-                picks = child.next() if worker is not None and k % 2 else None
-                fit = train_f_greedy(spec, train, greedy_cfg, picks=picks)
-                train_e = max_residual_error(fit[0], train)
-                val_e = max_residual_error(fit[0], val)
+                own = train_f_greedy(specs[j], train, greedy_cfg)
+                outcome = (max_residual_error(own[0], train), max_residual_error(own[0], val))
             except SymkernError as exc:
-                rows.append((spec.family, spec.epsilon, "", "", f"failed:{type(exc).__name__}"))
+                outcome = type(exc).__name__
+        batch = [worker.take() for _ in range(k, min(j, len(specs)))]
+        if j < len(specs):
+            batch.append((None, outcome))
+        for p, (_, outcome) in enumerate(batch, k):
+            if isinstance(outcome, str):
+                rows.append((specs[p].family, specs[p].epsilon, "", "", f"failed:{outcome}"))
                 continue
-            rows.append((spec.family, spec.epsilon, train_e, val_e, ""))
-            if best is None or val_e < best[0]:
-                best = (val_e, spec, fit)
-            # a losing fit's Newton factor is not held through the next fit
-            del fit, picks
+            rows.append((specs[p].family, specs[p].epsilon, *outcome, ""))
+            if best is None or outcome[1] < best[1]:
+                best = (p, outcome[1])
+        # the fits that lost are released before the worker's are loaded
+        if best is not None and best[0] >= k:
+            best_fit = own if best[0] == j else None
+        own = None
+        for p, (notice, outcome) in enumerate(batch, k):
+            if notice is not None and not isinstance(outcome, str):
+                fit = train_f_greedy(specs[p], train, greedy_cfg, picks=worker.load(notice))
+                if p == best[0]:
+                    best_fit = fit
+                # a losing fit's Newton factor is not held through the next load
+                del fit
+        k = j + 1
     if best is None:
         raise AllCandidatesFailed("every (family, epsilon) candidate failed to train")
-    return best[1], best[2], rows
+    return specs[best[0]], best_fit, rows
 
 
 def center_budget(cfg) -> int:
@@ -151,31 +168,29 @@ def center_budget(cfg) -> int:
     return budget
 
 
+def _greedy_config(cfg) -> GreedyConfig:
+    """The one GreedyConfig of a run's selection and budget fits."""
+    return GreedyConfig(max_centers=center_budget(cfg),
+                        residual_tolerance=cfg["greedy"]["residual_tolerance"])
+
+
 def _dt_tag(dt: float) -> str:
     return fmt(float(dt))
 
 
-def train_one(cfg, sys_, states, dt, out_dir, sel_rows, record=None):
-    """Dataset, model selection, and budget training for one macro step.
+def train_one(cfg, dt, train, val, out_dir, worker, step):
+    """Model selection and budget training for one macro step on its
+    training and validation split; worker and step are select_model's.
 
-    Writes the greedy trace, convergence curve, and model file; appends to
-    the shared selection table rows; record is select_model's.  Returns
-    (kernel, surrogate, trace).
+    Writes the greedy trace, convergence curve, and model file.  Returns
+    (kernel, surrogate, trace, selection table rows).
     """
     tag = _dt_tag(dt)
-    data = build_hb_dataset(sys_, states, dt, cfg["micro_dt"],
-                            meta={"scenario": cfg["scenario"], "seed": cfg["seed"]})
-    if cfg["emit_datasets"]:
-        _write_dataset(out_dir, tag, data)
-    train, val = split_train_validation(data, cfg["validation_fraction"], cfg["seed"] + 1)
-    sel = cfg["selection"]
-    greedy_cfg = GreedyConfig(max_centers=center_budget(cfg),
-                              residual_tolerance=cfg["greedy"]["residual_tolerance"])
-    kspec, winner, rows = select_model(sel["families"], sel["epsilons"], greedy_cfg, train, val,
-                                       record)
-    for fam, eps, tr, va, note in rows:
-        chosen = "selected" if (fam, eps) == (kspec.family, kspec.epsilon) else note
-        sel_rows.append((dt, fam, eps, tr, va, chosen))
+    greedy_cfg = _greedy_config(cfg)
+    kspec, winner, rows = select_model(_candidates(cfg), greedy_cfg, train, val, worker, step)
+    rows = [(dt, fam, eps, tr, va,
+             "selected" if (fam, eps) == (kspec.family, kspec.epsilon) else note)
+            for fam, eps, tr, va, note in rows]
 
     # the winner ran under this config, so the budget fit keeps its picks
     # and only replays the validation pool
@@ -188,7 +203,7 @@ def train_one(cfg, sys_, states, dt, out_dir, sel_rows, record=None):
     model_doc = surrogate_to_dict(surr, dt)
     model_doc["system"] = {"experiment": cfg["experiment"], **cfg["system"]}
     write_json(os.path.join(out_dir, f"model_dt{tag}.json"), model_doc)
-    return kspec, surr, trace
+    return kspec, surr, trace, rows
 
 
 # Environment variables that set the BLAS thread count.  Artifacts are
@@ -216,8 +231,7 @@ def run_experiment(cfg, out_dir, rollouts: bool = True):
     """
     validate(cfg)
     ensure_dir(out_dir)
-    manifest = {"config": cfg, "status": "running", "runtime": _runtime(), "stages": [],
-                "selection": {}}
+    manifest = {"config": cfg, "status": "running", "runtime": _runtime(), "stages": []}
 
     def checkpoint(status=None, error=None):
         if status:
@@ -235,100 +249,218 @@ def run_experiment(cfg, out_dir, rollouts: bool = True):
         raise
 
 
-def _peak_rss_mb():
-    """This process's VmHWM in MiB, or None without /proc."""
+def _private_mb():
+    """This process's private memory, Private_Clean plus Private_Dirty,
+    in MiB, or None without /proc/self/smaps_rollup."""
     try:
-        with open("/proc/self/status", encoding="ascii") as fh:
-            return next(int(line.split()[1]) / 1024 for line in fh if line.startswith("VmHWM:"))
-    except (OSError, StopIteration):
+        with open("/proc/self/smaps_rollup", encoding="ascii") as fh:
+            kib = sum(int(line.split()[1]) for line in fh
+                      if line.startswith(("Private_Clean:", "Private_Dirty:")))
+    except OSError:
         return None
+    return kib / 1024
 
 
-class _Child:
-    """A forked process that runs a list of jobs and pickles each one's
-    outcome back over a pipe, in order.
+class _Worker:
+    """The run's worker process, and the candidate positions it shares
+    with this process.
 
-    ``start(jobs)`` forks.  The child sends ``(result, None)`` or
-    ``(None, exception)`` per job, the last one with its wall time and
-    VmHWM, and leaves only through os._exit: it never unwinds into the
-    parent's stack or flushes the stdio it inherited, and an interrupt ends
-    it without a result.  ``next()`` returns the next job's result or
-    raises its exception; the last one reaps the child first.  A child that
-    ends without a result reads as ChildProcessError naming its exit status
-    or signal.  Leaving the with-block kills and reaps a child still alive.
-    ``info`` receives ``child_s``, ``wait_s`` (the time the parent blocked
-    reading) and ``exit``, and ``peak_rss_mb`` where it has that key.
+    steps holds (tag, train, val) per macro step in schedule order.  The
+    worker computes reference() first, when given.  Then, step by step,
+    it takes candidate positions, fits and scores each one, and appends
+    the scores and the pickled fit, or the exception, to the spool: an
+    unnamed file, each item announced by an (offset, length) notice on a
+    pipe.  Its last item holds its fit counts, wall time and private
+    memory.  A step's positions come from a counter at the spool's start,
+    advanced under os.lockf, so each process takes the next position in
+    canonical order; this process holds position 0 of the first step
+    from the fork on.  The worker leaves only through os._exit: it never
+    unwinds into the parent's stack or flushes the stdio it inherited,
+    and an interrupt ends it without a result.
+
+    Without os.fork, or with fewer than two jobs (the reference and each
+    candidate of each step), nothing forks: this process takes every
+    position and computes the reference at the first reference() call.
+    A worker that ends before sending what this process reads raises
+    ChildProcessError naming its exit status or signal.  Leaving the
+    with-block kills and reaps a worker still alive and closes the pipe
+    and the spool.  manifest receives ``worker``, null inline, and with a
+    reference ``reference: {child_s, wait_s}``.
     """
 
-    def __init__(self, what, info):
-        self.what, self.info = what, info
-        self.pid = self.reader = None
-        self.left = 0
+    NOTICE = struct.Struct("<qq")       # offset, length
+    SCORES = struct.Struct("<?dd")      # fitted, train_e, val_e
+    UNSCORED = bytes(SCORES.size)       # the reference's and the last item's
+    COUNTER = struct.Struct("<q")
 
-    def start(self, jobs):
-        jobs = list(jobs)
-        read_fd, write_fd = os.pipe()
+    def __init__(self, cfg, steps, reference, manifest):
+        self.cfg, self.steps, self.compute_reference = cfg, steps, reference
+        self.taken = [0] * len(steps)
+        self.pid = self.notices = self.spool = self.held = None
+        self.ref = self.ref_notice = None
+        self.info = None
+        jobs = (reference is not None) + len(steps) * len(_candidates(cfg))
+        if hasattr(os, "fork") and jobs > 1:
+            self.info = {"fits": None, "child_s": None, "wait_s": 0.0, "exit": None,
+                         "private_mb": None}
+        manifest["worker"] = self.info
+        if reference is not None:
+            self.ref_info = manifest["reference"] = {"child_s": None, "wait_s": None}
+
+    def __enter__(self):
+        if self.info is None:
+            return self
+        self.spool = tempfile.TemporaryFile(buffering=0)
+        fds = ()
         try:
+            fds = os.pipe()
+            # the counters start at 0, but position 0 of the first step is this process's
+            os.pwrite(self.spool.fileno(), self.COUNTER.pack(1).ljust(
+                self.COUNTER.size * len(self.steps), b"\0"), 0)
             pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
+        except BaseException:
+            for fd in fds:
+                os.close(fd)
+            self.spool.close()
             raise
         if pid == 0:
-            self._serve(jobs, write_fd)
-        os.close(write_fd)
-        self.pid, self.reader, self.left = pid, os.fdopen(read_fd, "rb"), len(jobs)
-        self.info["wait_s"] = 0.0
+            os.close(fds[0])
+            self._serve(fds[1])
+        os.close(fds[1])
+        self.pid, self.notices, self.held = pid, fds[0], 0
+        return self
 
-    @staticmethod
-    def _serve(jobs, write_fd):
+    def _serve(self, write_fd):
         status = 1
         try:
             start = perf_counter()
-            with os.fdopen(write_fd, "wb") as fh:
-                for k, job in enumerate(jobs, 1):
-                    try:
-                        item = (job(), None)
-                    except Exception as exc:  # raised again in the parent
-                        item = (None, exc)
-                    if k == len(jobs):
-                        item += (perf_counter() - start, _peak_rss_mb())
-                    pickle.dump(item, fh)
-                    fh.flush()
+            self.end = self.COUNTER.size * len(self.steps)
+            if self.compute_reference is not None:
+                try:
+                    item = (self.compute_reference(), None)
+                except Exception as exc:  # raised again in the parent
+                    item = (None, exc)
+                item += (perf_counter() - start,)
+                self._send(write_fd, self.UNSCORED + pickle.dumps(item))
+            specs, greedy_cfg = _candidates(self.cfg), _greedy_config(self.cfg)
+            fits = []
+            for step, (_, train, val) in enumerate(self.steps):
+                fits.append(0)
+                while (k := self.claim(step)) < len(specs):
+                    self._send(write_fd, self._scored_fit(specs[k], greedy_cfg, train, val))
+                    fits[-1] += 1
+            self._send(write_fd, self.UNSCORED + pickle.dumps(
+                (fits, perf_counter() - start, _private_mb())))
             status = 0
         finally:
             os._exit(status)
 
-    def next(self):
-        start = perf_counter()
+    @classmethod
+    def _scored_fit(cls, spec, greedy_cfg, train, val) -> bytes:
         try:
-            item = pickle.load(self.reader)
-        except (EOFError, pickle.UnpicklingError):
-            item = None
-        self.left -= 1
-        if item is None or not self.left:
+            fit = train_f_greedy(spec, train, greedy_cfg)
+            scores = cls.SCORES.pack(True, max_residual_error(fit[0], train),
+                                     max_residual_error(fit[0], val))
+            return scores + pickle.dumps(fit)
+        except Exception as exc:  # tabled or raised again in the parent
+            return cls.SCORES.pack(False, math.nan, math.nan) + pickle.dumps(exc)
+
+    def _send(self, write_fd, item):
+        done = 0
+        while done < len(item):
+            done += os.pwrite(self.spool.fileno(), memoryview(item)[done:], self.end + done)
+        # one notice is one atomic pipe write, which blocks while the pipe is full
+        os.write(write_fd, self.NOTICE.pack(self.end, len(item)))
+        self.end += len(item)
+
+    def claim(self, step) -> int:
+        """The next candidate position of step, for the calling process."""
+        if self.spool is None:
+            self.taken[step] += 1
+            return self.taken[step] - 1
+        if self.held is not None:
+            k, self.held = self.held, None
+            return k
+        fd, size = self.spool.fileno(), self.COUNTER.size
+        # the spool's offset stays 0 (pread/pwrite only): this locks the counters
+        os.lockf(fd, os.F_LOCK, size * len(self.steps))
+        try:
+            (k,) = self.COUNTER.unpack(os.pread(fd, size, size * step))
+            os.pwrite(fd, self.COUNTER.pack(k + 1), size * step)
+        finally:
+            os.lockf(fd, os.F_ULOCK, size * len(self.steps))
+        return k
+
+    def take(self):
+        """(notice, (train_e, val_e)) of the worker's next candidate, or
+        (notice, exception type name) for a package error, which is the
+        candidate's table row; any other exception is raised here."""
+        notice = self._notice()
+        fitted, train_e, val_e = self.SCORES.unpack(
+            os.pread(self.spool.fileno(), self.SCORES.size, notice[0]))
+        if fitted:
+            return notice, (train_e, val_e)
+        exc = self.load(notice)
+        if not isinstance(exc, SymkernError):
+            raise exc
+        return notice, type(exc).__name__
+
+    def load(self, notice):
+        """The pickled object of a notice's item."""
+        offset, length = notice
+        return pickle.loads(os.pread(self.spool.fileno(), length - self.SCORES.size,
+                                     offset + self.SCORES.size))
+
+    def _notice(self, reference=False):
+        """The worker's next notice, or with reference the reference's:
+        the worker's first, which is kept once read."""
+        if self.ref_notice is None and self.compute_reference is not None:
+            self.ref_notice, self.ref_info["wait_s"] = self._read()
+        return self.ref_notice if reference else self._read()[0]
+
+    def _read(self):
+        start = perf_counter()
+        # a notice is written whole, so a read returns all of it or none
+        data = os.read(self.notices, self.NOTICE.size)
+        if not data:
             self._reap()
-        self.info["wait_s"] += perf_counter() - start
-        code = self.info["exit"]
-        if item is None or code not in (None, 0):
+            code = self.info["exit"]
             how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-            raise ChildProcessError(f"the {self.what} process ended without a result ({how})")
-        if len(item) > 2:
-            self.info["child_s"] = item[2]
-            if "peak_rss_mb" in self.info:
-                self.info["peak_rss_mb"] = item[3]
-        if item[1] is not None:
-            raise item[1]
-        return item[0]
+            raise ChildProcessError(f"the worker process ended without a result ({how})")
+        wait = perf_counter() - start
+        self.info["wait_s"] += wait
+        return self.NOTICE.unpack(data), wait
+
+    def reference(self) -> np.ndarray:
+        """The micro reference, raising its failure with the inline type
+        and message; inline it is computed at the first call."""
+        if self.ref is not None:
+            return self.ref
+        if self.spool is None:
+            start = perf_counter()
+            try:
+                self.ref = self.compute_reference()
+            finally:
+                self.ref_info["child_s"] = self.ref_info["wait_s"] = perf_counter() - start
+            return self.ref
+        path, exc, self.ref_info["child_s"] = self.load(self._notice(reference=True))
+        if exc is not None:
+            raise exc
+        self.ref = path
+        return path
+
+    def finish(self):
+        """Read the worker's last item and reap it, once every step is
+        trained; the reference stays in the spool until read."""
+        if self.pid is None:
+            return
+        counts, self.info["child_s"], self.info["private_mb"] = self.load(self._notice())
+        self.info["fits"] = {tag: n for (tag, _, _), n in zip(self.steps, counts)}
+        self._reap()
 
     def _reap(self):
-        self.reader.close()
-        self.reader = None
         self.info["exit"] = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         self.pid = None
-
-    def __enter__(self):
-        return self
 
     def __exit__(self, *exc):
         if self.pid is not None:
@@ -336,52 +468,42 @@ class _Child:
 
             os.kill(self.pid, signal.SIGKILL)
             self._reap()
+        if self.notices is not None:
+            os.close(self.notices)
+        if self.spool is not None:
+            self.spool.close()
 
 
-class _Reference:
-    """The micro reference on the test states, computed in a forked child
-    while the parent trains.
+def _reference(cfg, sys_, stride) -> np.ndarray:
+    """The micro reference on the test states, every stride-th state (the
+    states compute_metrics reads); row 0 holds the test states."""
+    micro = cfg["micro_dt"]
+    path = midpoint_many(sys_, test_states(cfg, sys_), micro,
+                         step_count(cfg["test"]["horizon"], micro), keep_path=True)
+    return path[::stride].copy()
 
-    Only every stride-th state comes back, stride being the gcd of the
-    macro strides: the states compute_metrics reads.  Row 0 holds the test
-    states.  collect() reads the child's result, reaps it and re-raises its
-    exception; leaving the with-block any other way kills and reaps it.
-    For a quadratic system, or where os.fork does not exist, collect()
-    computes inline.  ``info`` is the MANIFEST's ``reference`` entry.
-    """
 
-    def __init__(self, cfg, sys_):
-        self.cfg, self.sys = cfg, sys_
-        self.stride = math.gcd(*(step_count(dt, cfg["micro_dt"]) for dt in cfg["delta_t_list"]))
-        self.info = {"child_s": None, "wait_s": None, "exit": None}
-        self.child = _Child("micro reference", self.info)
+def _splits(cfg, sys_, states, out_dir):
+    """(dT, tag, train, val) per macro step, in config order; an integer
+    dT is used, and written, as a float."""
+    splits = []
+    for dt in map(float, cfg["delta_t_list"]):
+        tag = _dt_tag(dt)
+        data = build_hb_dataset(sys_, states, dt, cfg["micro_dt"],
+                                meta={"scenario": cfg["scenario"], "seed": cfg["seed"]})
+        if cfg["emit_datasets"]:
+            _write_dataset(out_dir, tag, data)
+        splits.append((dt, tag, *split_train_validation(data, cfg["validation_fraction"],
+                                                        cfg["seed"] + 1)))
+    return splits
 
-    def compute(self) -> np.ndarray:
-        micro = self.cfg["micro_dt"]
-        path = midpoint_many(self.sys, test_states(self.cfg, self.sys), micro,
-                             step_count(self.cfg["test"]["horizon"], micro), keep_path=True)
-        return path[:: self.stride].copy()
 
-    def __enter__(self):
-        # A quadratic system's reference is one matrix product per step,
-        # cheaper than what a live child costs the parent: each page the
-        # parent first writes while the child shares it is copied, and a
-        # transparent huge page is split (wave-desk: 6 % slower on 2 vCPUs).
-        if not self.sys.quadratic and hasattr(os, "fork"):
-            self.child.start([self.compute])
-        return self
-
-    def collect(self) -> np.ndarray:
-        if self.child.pid is not None:
-            return self.child.next()
-        start = perf_counter()
-        try:
-            return self.compute()
-        finally:
-            self.info["child_s"] = self.info["wait_s"] = perf_counter() - start
-
-    def __exit__(self, *exc):
-        self.child.__exit__(*exc)
+def _mor_record(cfg, sys_, basis):
+    """The MANIFEST's ``mor`` entry of a reduced system."""
+    x = basis.lift(test_states(cfg, sys_))
+    return {"full_dim": basis.v.shape[0], "reduced_dim": basis.v.shape[1],
+            "symplecticity_defect": basis.symplecticity_defect(),
+            "projection_defect": float(np.max(np.abs(x - basis.lift(basis.restrict(x)))))}
 
 
 def _run_stages(cfg, out_dir, manifest, rollouts):
@@ -390,52 +512,49 @@ def _run_stages(cfg, out_dir, manifest, rollouts):
     stages.append("system")
     if basis is not None:
         _write_basis(out_dir, basis)
+        manifest["mor"] = _mor_record(cfg, sys_, basis)
 
     states = sample_states(sys_, sampler_for(cfg, sys_))
     stages.append(f"sampled:{states.shape[0]}")
+    splits = _splits(cfg, sys_, states, out_dir)
+    # smallest dT first: it has the most rollout steps, and the worker
+    # fits the next step's candidates while this process rolls them out
+    schedule = sorted(splits, key=lambda split: split[0])
+    stride = math.gcd(*(step_count(dt, cfg["micro_dt"]) for dt, *_ in splits))
+    summary = {"out_dir": out_dir, "per_dt": {tag: {} for _, tag, *_ in splits}}
+    sel_rows, outputs = {}, {}
+    with _Worker(cfg, [split[1:] for split in schedule],
+                 partial(_reference, cfg, sys_, stride) if rollouts else None,
+                 manifest) as worker:
+        for step, (dt, tag, train, val) in enumerate(schedule):
+            kspec, surr, trace, sel_rows[tag] = train_one(cfg, dt, train, val, out_dir,
+                                                          worker, step)
+            stages.append(f"trained:{tag}:{kspec.family}:{kspec.epsilon}:{surr.size}")
+            summary["per_dt"][tag].update({
+                "kernel": kspec.to_dict(),
+                "centers": surr.size,
+                "train_residual": trace.final_train_residual,
+                "val_residual": trace.final_val_residual,
+            })
+            if step == len(schedule) - 1:
+                worker.finish()
+                write_csv(os.path.join(out_dir, "selection_table.csv"),
+                          ["delta_t", "family", "epsilon", "train_error", "val_error", "note"],
+                          [row for _, tag_, *_ in splits for row in sel_rows[tag_]])
+            if rollouts:
+                ref_path = worker.reference()
+                if step == 0:
+                    stages.append("reference")
+                outputs[tag] = _roll_out(cfg, sys_, dt, surr, trace,
+                                         ref_path, stride, summary["per_dt"][tag])
+                stages.append(f"rollout:{tag}")
     if not rollouts:
-        return _train_all(cfg, sys_, states, out_dir, manifest)[0]
+        return summary
 
-    with _Reference(cfg, sys_) as reference:
-        manifest["reference"] = reference.info
-        summary, trained = _train_all(cfg, sys_, states, out_dir, manifest)
-        ref_path = reference.collect()
-    stages.append("reference")
-    ics = ref_path[0]
-    horizon = cfg["test"]["horizon"]
-
-    rel_rows, energy_rows = [], []
-    conv_plot, rel_plot = [], []
-    for dt, tag, surr, trace in trained:
-        conv = trace.convergence_rows()
-        centers = np.array([row[0] for row in conv if row[0] > 0], dtype=float)
-        conv_plot.append(MetricSeries(f"train dT={tag}", centers,
-                                      [row[1] for row in conv if row[0] > 0]))
-        if trace.val_residual:
-            conv_plot.append(MetricSeries(f"val dT={tag}", centers,
-                                          [row[2] for row in conv if row[0] > 0]))
-
-        model = PredictorModel(surr, dt)
-        steps = step_count(horizon, dt)
-        preds = [rollout(model, x0, steps) for x0 in ics]
-        bases = np.stack([propagate(sys_, x0, dt, steps).states for x0 in ics])
-        stride = step_count(dt, cfg["micro_dt"]) // reference.stride
-        ref = ref_path[: steps * stride + 1 : stride].swapaxes(0, 1)
-        errors = compute_metrics(np.stack([p.states for p in preds]), bases, ref, sys_)
-        t = preds[0].times
-        labels = {"rel_pred": f"kernel dT={tag}", "rel_baseline": f"midpoint dT={tag}"}
-        means = [mean_series(v, t, labels.get(k, k)) for k, v in errors.items()]
-        # compute_metrics orders the two relative errors before the three energy ones
-        rel_plot += means[:2]
-        rel_rows += [(dt,) + row for row in zip(t, *(s.y for s in means[:2]))]
-        energy_rows += [(dt,) + row for row in zip(t, *(s.y for s in means[2:]))]
-        summary["per_dt"][tag].update({
-            "rel_pred_final": float(means[0].y[-1]),
-            "rel_baseline_final": float(means[1].y[-1]),
-            "solver_iterations": sum(int(np.sum(p.solver_iterations)) for p in preds),
-        })
-        stages.append(f"rollout:{tag}")
-
+    rel_rows, energy_rows, conv_plot, rel_plot = [], [], [], []
+    for _, tag, *_ in splits:
+        for acc, part in zip((rel_rows, energy_rows, conv_plot, rel_plot), outputs[tag]):
+            acc += part
     write_csv(os.path.join(out_dir, "rel_error.csv"),
               ["delta_t", "t", "predictor", "baseline"], rel_rows)
     write_csv(os.path.join(out_dir, "energy_error.csv"),
@@ -450,29 +569,40 @@ def _run_stages(cfg, out_dir, manifest, rollouts):
     return summary
 
 
-def _train_all(cfg, sys_, states, out_dir, manifest):
-    """train_one for every macro step, then the selection table; returns
-    (summary, [(dt, tag, surrogate, trace)])."""
-    stages = manifest["stages"]
-    sel_rows, trained = [], []
-    summary = {"out_dir": out_dir, "per_dt": {}}
-    # an integer dT is used, and written, as a float
-    for dt in map(float, cfg["delta_t_list"]):
-        tag = _dt_tag(dt)
-        record = manifest["selection"][tag] = {}
-        kspec, surr, trace = train_one(cfg, sys_, states, dt, out_dir, sel_rows, record)
-        stages.append(f"trained:{tag}:{kspec.family}:{kspec.epsilon}:{surr.size}")
-        trained.append((dt, tag, surr, trace))
-        summary["per_dt"][tag] = {
-            "kernel": kspec.to_dict(),
-            "centers": surr.size,
-            "train_residual": trace.final_train_residual,
-            "val_residual": trace.final_val_residual,
-        }
-    write_csv(os.path.join(out_dir, "selection_table.csv"),
-              ["delta_t", "family", "epsilon", "train_error", "val_error", "note"],
-              sel_rows)
-    return summary, trained
+def _roll_out(cfg, sys_, dt, surr, trace, ref_path, ref_stride, per_dt):
+    """Predictor and baseline rollouts of one macro step from the test
+    states against the reference path; adds the final errors and solver
+    iterations to per_dt.  Returns (rel_error rows, energy_error rows,
+    convergence series, relative error series)."""
+    tag = _dt_tag(dt)
+    conv = trace.convergence_rows()
+    centers = np.array([row[0] for row in conv if row[0] > 0], dtype=float)
+    conv_plot = [MetricSeries(f"train dT={tag}", centers,
+                              [row[1] for row in conv if row[0] > 0])]
+    if trace.val_residual:
+        conv_plot.append(MetricSeries(f"val dT={tag}", centers,
+                                      [row[2] for row in conv if row[0] > 0]))
+
+    ics = ref_path[0]
+    model = PredictorModel(surr, dt)
+    steps = step_count(cfg["test"]["horizon"], dt)
+    preds = [rollout(model, x0, steps) for x0 in ics]
+    bases = np.stack([propagate(sys_, x0, dt, steps).states for x0 in ics])
+    stride = step_count(dt, cfg["micro_dt"]) // ref_stride
+    ref = ref_path[: steps * stride + 1 : stride].swapaxes(0, 1)
+    errors = compute_metrics(np.stack([p.states for p in preds]), bases, ref, sys_)
+    t = preds[0].times
+    labels = {"rel_pred": f"kernel dT={tag}", "rel_baseline": f"midpoint dT={tag}"}
+    means = [mean_series(v, t, labels.get(k, k)) for k, v in errors.items()]
+    per_dt.update({
+        "rel_pred_final": float(means[0].y[-1]),
+        "rel_baseline_final": float(means[1].y[-1]),
+        "solver_iterations": sum(int(np.sum(p.solver_iterations)) for p in preds),
+    })
+    # compute_metrics orders the two relative errors before the three energy ones
+    return ([(dt,) + row for row in zip(t, *(s.y for s in means[:2]))],
+            [(dt,) + row for row in zip(t, *(s.y for s in means[2:]))],
+            conv_plot, means[:2])
 
 
 def _write_basis(out_dir, basis):

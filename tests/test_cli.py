@@ -174,6 +174,17 @@ def test_check_bounds(mini_run, capsys):
     assert "contraction margin" in text
 
 
+def test_check_bounds_writes_an_integer_dt_as_a_float(tmp_path, capsys):
+    # an integer in a number leaf is used as a float, as `experiment` prints it;
+    # the wave's reduced system is quadratic, so both dT lines print
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "wave", "delta_t_list": [1, 0.5],
+                               "test": {"horizon": 2.0}}))
+    assert main(["check-bounds", "--config", str(cfg)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if "dT=" in line]
+    assert [line.split(":")[0] for line in lines] == ["  dT=1.0"] * 2 + ["  dT=0.5"] * 2
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"experiment": "pendulum", "unknown_knob": 1}))

@@ -153,3 +153,29 @@ def test_wave_reduction_is_exact_on_the_test_states():
     rel = np.linalg.norm(lifted - path, axis=2) / np.linalg.norm(path, axis=2)
     assert path.shape == (steps + 1, 3, 2 * s["n_grid"])
     assert np.max(rel) <= 1e-9
+
+
+def test_wave_manifest_records_the_reduction(tmp_path):
+    # the test states are lifted from the reduced space, so projecting them
+    # back onto the basis loses nothing but roundoff
+    import json
+
+    from test_trace_sites import _tiny
+
+    cfg = _tiny("wave")
+    experiment.run_experiment(cfg, str(tmp_path), rollouts=False)
+    mor = json.loads((tmp_path / "MANIFEST.json").read_text())["mor"]
+    assert set(mor) == {"full_dim", "reduced_dim", "symplecticity_defect", "projection_defect"}
+    s = cfg["system"]
+    assert mor["full_dim"] == 2 * s["n_grid"] and mor["reduced_dim"] == 2 * s["reduced_modes"]
+    assert 0 <= mor["symplecticity_defect"] <= 1e-10
+    assert 0 <= mor["projection_defect"] <= 1e-10
+
+
+def test_only_the_wave_manifest_records_a_reduction(tmp_path):
+    import json
+
+    from test_trace_sites import _tiny
+
+    experiment.run_experiment(_tiny("pendulum"), str(tmp_path), rollouts=False)
+    assert "mor" not in json.loads((tmp_path / "MANIFEST.json").read_text())

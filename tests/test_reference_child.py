@@ -1,7 +1,8 @@
-"""The micro reference runs in a forked child while the parent trains.
+"""The micro reference is the worker process's first job, computed while
+the parent trains.
 
-Whatever way the run ends, the child is reaped, its failure reads as the
-parent's would have, and the artifacts are those of the inline run.
+Whatever way the run ends, the worker is reaped, a reference failure reads
+as the parent's would have, and the artifacts are those of the inline run.
 """
 
 import io
@@ -20,6 +21,7 @@ from test_trace_sites import _tiny as _tiny_config
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 TINY_STAGES = ["system", "sampled:32", "trained:0.1:gaussian:1.0:8"]
+WORKER_KEYS = {"fits", "child_s", "wait_s", "exit", "private_mb"}
 
 
 def _tiny():
@@ -33,6 +35,11 @@ def _manifest(out):
 def _assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _open_fds():
+    """This process's open file descriptors, or None without /proc."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
 @pytest.fixture
@@ -51,12 +58,22 @@ def forks(monkeypatch):
 
 
 def test_complete_run_records_the_child(tmp_path, forks):
+    open_fds = _open_fds()
     run_experiment(_tiny(), str(tmp_path))
+    assert _open_fds() == open_fds
     manifest = _manifest(tmp_path)
-    assert manifest["status"] == "complete" and "reference" in manifest["stages"]
+    assert manifest["status"] == "complete"
+    assert manifest["stages"] == TINY_STAGES + ["reference", "rollout:0.1", "artifacts"]
     ref = manifest["reference"]
-    assert set(ref) == {"child_s", "wait_s", "exit"}
-    assert ref["exit"] == 0 and ref["child_s"] > 0 and ref["wait_s"] >= 0
+    assert set(ref) == {"child_s", "wait_s"}
+    assert ref["child_s"] > 0 and ref["wait_s"] >= 0
+    worker = manifest["worker"]
+    assert set(worker) == WORKER_KEYS and worker["exit"] == 0
+    # this process holds the first candidate, so the worker fitted none
+    assert worker["fits"] == {"0.1": 0}
+    assert worker["child_s"] >= ref["child_s"] and worker["wait_s"] >= ref["wait_s"]
+    if os.path.exists("/proc/self/smaps_rollup"):
+        assert worker["private_mb"] > 0
     assert len(forks) == 1
     _assert_no_child()
 
@@ -76,8 +93,8 @@ def test_reference_failure_reads_as_in_the_parent(tmp_path, monkeypatch, forks, 
     assert manifest["error"] == "NoConvergence: step 3: midpoint Newton did not converge"
     assert manifest["stages"] == TINY_STAGES
     ref = manifest["reference"]
-    assert set(ref) == {"child_s", "wait_s", "exit"}
-    assert ref["exit"] == (0 if fork else None) and ref["child_s"] >= 0
+    assert set(ref) == {"child_s", "wait_s"} and ref["child_s"] >= 0
+    assert manifest["worker"] == ({**manifest["worker"], "exit": 0} if fork else None)
     assert len(forks) == int(fork)
     _assert_no_child()
 
@@ -89,12 +106,14 @@ def test_dead_child_is_one_line_and_exit_1(tmp_path, monkeypatch, capsys):
     out = tmp_path / "out"
     assert main(["experiment", "pendulum", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err == ("error: ChildProcessError: the micro reference process ended without "
+    assert err == ("error: ChildProcessError: the worker process ended without "
                    "a result (exit status 3)\n")
     manifest = _manifest(out)
     assert manifest["status"] == "failed" and manifest["stages"] == TINY_STAGES
     assert manifest["error"].startswith("ChildProcessError: ")
-    assert manifest["reference"]["exit"] == 3 and manifest["reference"]["child_s"] is None
+    assert manifest["reference"]["child_s"] is None
+    worker = manifest["worker"]
+    assert worker["exit"] == 3 and worker["child_s"] is worker["private_mb"] is None
     _assert_no_child()
 
 
@@ -107,8 +126,8 @@ def test_training_failure_kills_the_child(tmp_path, monkeypatch, forks):
         run_experiment(_tiny(), str(tmp_path))
     manifest = _manifest(tmp_path)
     assert manifest["status"] == "failed" and manifest["stages"] == TINY_STAGES[:2]
-    # killed, unless it had already sent its result and exited
-    assert manifest["reference"]["exit"] in (0, -9)
+    # killed, unless it had already sent its last item and exited
+    assert manifest["worker"]["exit"] in (0, -9)
     assert len(forks) == 1
     _assert_no_child()
 
@@ -118,20 +137,22 @@ def test_failed_fork_fails_the_run_and_closes_the_pipe(tmp_path, monkeypatch):
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    open_fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    open_fds = _open_fds()
     with pytest.raises(BlockingIOError):
         run_experiment(_tiny(), str(tmp_path))
     manifest = _manifest(tmp_path)
     assert manifest["status"] == "failed" and manifest["stages"] == TINY_STAGES[:2]
-    if open_fds is not None:
-        assert len(os.listdir("/proc/self/fd")) == open_fds
+    assert _open_fds() == open_fds
 
 
-def test_quadratic_system_computes_inline(tmp_path, forks):
+def test_quadratic_system_forks_the_worker(tmp_path, forks):
+    # a quadratic system's reference is cheap, but the worker is alive for
+    # the selection anyway, so it computes the reference there too
     run_experiment(_tiny_config("wave"), str(tmp_path))
-    assert forks == []
-    ref = _manifest(tmp_path)["reference"]
-    assert ref["exit"] is None and ref["child_s"] == ref["wait_s"] > 0
+    assert len(forks) == 1
+    manifest = _manifest(tmp_path)
+    assert manifest["worker"]["exit"] == 0 and manifest["reference"]["child_s"] > 0
+    _assert_no_child()
 
 
 def test_train_subcommand_forks_nothing(tmp_path, forks):
@@ -171,5 +192,6 @@ def test_inline_run_writes_the_same_bytes(tmp_path, monkeypatch):
     for name in names:
         if name != "MANIFEST.json":
             assert (forked / name).read_bytes() == (inline / name).read_bytes(), name
-    ref = _manifest(inline)["reference"]
-    assert ref["exit"] is None and ref["child_s"] == ref["wait_s"] > 0
+    manifest = _manifest(inline)
+    ref = manifest["reference"]
+    assert manifest["worker"] is None and ref["child_s"] == ref["wait_s"] > 0

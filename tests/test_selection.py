@@ -1,10 +1,11 @@
 """Model selection on two processes, and the spelling of grid values.
 
-Where os.fork exists and the grid has two or more candidates, a forked
-worker fits the candidates at odd positions and this process the even
-ones.  Whatever way the run ends, the worker is reaped, a candidate that
-fails in it reads as it would inline, and the artifacts are those of the
-inline loop.
+Where os.fork exists and a run has two or more jobs, one forked worker
+takes candidate positions from a counter it shares with this process,
+fits and scores them, while this process trains and rolls out one macro
+step at a time.  Whatever way the run ends, the worker is reaped and no
+descriptor stays open, a candidate that fails in it reads as it would
+inline, and the artifacts are those of the inline loop.
 """
 
 import io
@@ -16,17 +17,19 @@ import time
 import pytest
 
 import symkern.experiment as experiment_mod
+from symkern import greedy
 from symkern.cli import main
 from symkern.errors import NoConvergence
 from symkern.experiment import run_experiment
-from test_reference_child import _assert_no_child, _manifest, forks  # noqa: F401
+from test_reference_child import (WORKER_KEYS, _assert_no_child, _manifest, _open_fds,
+                                  forks)  # noqa: F401
 from test_trace_sites import _tiny
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
-# 2 families x 2 epsilons: the worker fits positions 1 and 3
+# 2 families x 2 epsilons, in canonical order gaussian 1.0, gaussian 2.0,
+# matern52 1.0, matern52 2.0; this process holds position 0 of the first step
 MINI = {"families": ["gaussian", "matern52"], "epsilons": [1.0, 2.0]}
-WORKER_KEYS = {"candidates", "child_s", "wait_s", "exit", "peak_rss_mb"}
 
 
 def _mini(experiment="pendulum"):
@@ -49,6 +52,20 @@ def _same_artifacts(a, b):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def _forked_and_inline(tmp_path, monkeypatch, cfg, rollouts=True):
+    """Run cfg with the worker and inline; returns (forked, inline) dirs
+    after checking that they hold the same bytes."""
+    forked, inline = tmp_path / "forked", tmp_path / "inline"
+    run_experiment(cfg, str(forked), rollouts=rollouts)
+    _assert_no_child()
+    with monkeypatch.context() as patch:
+        patch.delattr(os, "fork")
+        run_experiment(cfg, str(inline), rollouts=rollouts)
+    _same_artifacts(forked, inline)
+    assert _manifest(inline)["worker"] is None
+    return forked, inline
+
+
 def _patch_fits(monkeypatch, in_worker=None, in_parent=None):
     """Route train_f_greedy(kernel, ...) through in_worker(kernel) in the
     forked worker and in_parent(kernel) here, before the real fit."""
@@ -63,21 +80,132 @@ def _patch_fits(monkeypatch, in_worker=None, in_parent=None):
     monkeypatch.setattr(experiment_mod, "train_f_greedy", patched)
 
 
+def _hold_first_fit(monkeypatch, until, in_worker=None):
+    """Hold this process's first fit until the worker has claimed position
+    until of the first step; in_worker is _patch_fits's."""
+    workers, held, enter = [], [], experiment_mod._Worker.__enter__
+
+    def record(self):
+        workers.append(self)
+        return enter(self)
+
+    def hold(kernel):
+        if held:
+            return
+        held.append(kernel)
+        spool, counter = workers[0].spool.fileno(), experiment_mod._Worker.COUNTER
+        deadline = time.monotonic() + 120
+        while counter.unpack(os.pread(spool, counter.size, 0))[0] <= until:
+            assert time.monotonic() < deadline, "the worker stopped claiming"
+            time.sleep(0.01)
+
+    monkeypatch.setattr(experiment_mod._Worker, "__enter__", record)
+    _patch_fits(monkeypatch, in_worker=in_worker, in_parent=hold)
+
+
 @needs_fork
 @pytest.mark.parametrize("experiment", ["pendulum", "chain", "wave"])
 def test_worker_writes_the_inline_bytes(tmp_path, monkeypatch, experiment):
-    forked, inline = tmp_path / "forked", tmp_path / "inline"
-    run_experiment(_mini(experiment), str(forked))
-    monkeypatch.delattr(os, "fork")
-    run_experiment(_mini(experiment), str(inline))
-    _same_artifacts(forked, inline)
-    worker = _manifest(forked)["selection"]["0.1"]["worker"]
-    assert set(worker) == WORKER_KEYS
-    assert worker["candidates"] == 2 and worker["exit"] == 0
+    forked, _ = _forked_and_inline(tmp_path, monkeypatch, _mini(experiment))
+    worker = _manifest(forked)["worker"]
+    assert set(worker) == WORKER_KEYS and worker["exit"] == 0
+    # the worker computed the reference and took what this process left
+    assert list(worker["fits"]) == ["0.1"] and 0 <= worker["fits"]["0.1"] <= 3
     assert worker["child_s"] > 0 and worker["wait_s"] >= 0
-    if os.path.exists("/proc/self/status"):
-        assert worker["peak_rss_mb"] > 0
-    assert _manifest(inline)["selection"] == {"0.1": {"worker": None}}
+    if os.path.exists("/proc/self/smaps_rollup"):
+        assert worker["private_mb"] > 0
+
+
+@needs_fork
+def test_three_steps_write_the_inline_bytes(tmp_path, monkeypatch):
+    cfg = _mini()
+    cfg["delta_t_list"] = [0.1, 0.05, 0.025]
+    forked, _ = _forked_and_inline(tmp_path, monkeypatch, cfg)
+    manifest = _manifest(forked)
+    # trained and rolled out one step at a time, smallest dT first
+    assert [":".join(stage.split(":")[:2]) for stage in manifest["stages"][2:]] == [
+        "trained:0.025", "reference", "rollout:0.025", "trained:0.05", "rollout:0.05",
+        "trained:0.1", "rollout:0.1", "artifacts"]
+    assert list(manifest["worker"]["fits"]) == ["0.025", "0.05", "0.1"]
+    # the table, the error curves and the summary keep config order
+    rows = (forked / "selection_table.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0.1"] * 4 + ["0.05"] * 4 + ["0.025"] * 4
+    rel = (forked / "rel_error.csv").read_text().splitlines()[1:]
+    assert list(dict.fromkeys(row.split(",")[0] for row in rel)) == ["0.1", "0.05", "0.025"]
+
+
+@needs_fork
+def test_worker_fits_the_next_step_during_a_rollout(tmp_path, monkeypatch):
+    real = experiment_mod.rollout
+
+    def slow(*args, **kwargs):
+        time.sleep(0.3)
+        return real(*args, **kwargs)
+
+    # only this process rolls out: the worker fits dT 0.1 meanwhile
+    monkeypatch.setattr(experiment_mod, "rollout", slow)
+    cfg = _mini()
+    cfg["delta_t_list"] = [0.1, 0.05]
+    run_experiment(cfg, str(tmp_path))
+    worker = _manifest(tmp_path)["worker"]
+    assert worker["exit"] == 0 and worker["fits"]["0.1"] == 4
+    _assert_no_child()
+
+
+@needs_fork
+@pytest.mark.parametrize("position", [0, 2])
+def test_nan_validation_residual_picks_the_inline_winner(tmp_path, monkeypatch, position):
+    # a NaN first success is never replaced; a later NaN never wins
+    cfg = _mini()
+    family, epsilon = [(f, e) for f in MINI["families"] for e in MINI["epsilons"]][position]
+    real = experiment_mod.max_residual_error
+
+    def nan_for_one(surr, data):
+        if (surr.kernel.family, surr.kernel.epsilon) == (family, epsilon):
+            return float("nan")
+        return real(surr, data)
+
+    monkeypatch.setattr(experiment_mod, "max_residual_error", nan_for_one)
+    forked, _ = _forked_and_inline(tmp_path, monkeypatch, cfg, rollouts=False)
+    rows = [row.split(",") for row in
+            (forked / "selection_table.csv").read_text().splitlines()[1:]]
+    assert rows[position][3:5] == ["nan", "nan"]
+    selected = [k for k, row in enumerate(rows) if row[5] == "selected"]
+    if position == 0:
+        assert selected == [0]
+    else:
+        finite = [(float(row[4]), k) for k, row in enumerate(rows) if k != position]
+        assert selected == [min(finite)[1]]
+
+
+@needs_fork
+def test_more_worker_items_than_the_notice_pipe_holds(tmp_path, monkeypatch):
+    # 4 x 1100 candidates of one center each.  This process holds its
+    # first fit until the worker has claimed position 4097: its 16-byte
+    # notices then fill the 64 KiB pipe (4096 of them) until this process reads
+    cfg = _tiny("pendulum")
+    cfg["sampling"]["grid_counts"] = [4, 4]
+    cfg["greedy"]["max_centers"] = 1
+    cfg["selection"].update(families=["imq", "gaussian", "matern32", "matern52"],
+                            epsilons=[1.0 + k / 1000 for k in range(1100)])
+    _hold_first_fit(monkeypatch, 4097)
+    parent = os.getpid()
+    select, own_fits = greedy._select, []
+
+    def count(*args):
+        if os.getpid() == parent:
+            own_fits.append(args[0])
+        return select(*args)
+
+    monkeypatch.setattr(greedy, "_select", count)
+    run_experiment(cfg, str(tmp_path), rollouts=False)
+    worker = _manifest(tmp_path)["worker"]
+    assert worker["exit"] == 0 and worker["fits"]["0.1"] > 4096
+    # each position fitted once, by one process: a lost claim would fit
+    # one twice and shift the worker's rows
+    assert len(own_fits) + worker["fits"]["0.1"] == 4400
+    rows = (tmp_path / "selection_table.csv").read_text().splitlines()
+    assert len(rows) == 1 + 4400
     _assert_no_child()
 
 
@@ -95,47 +223,56 @@ def test_failed_worker_candidate_is_the_inline_row(tmp_path, monkeypatch):
     _same_artifacts(forked, inline)
     rows = (forked / "selection_table.csv").read_text().splitlines()
     assert rows[2] == "0.1,gaussian,2.0,,,failed:NoConvergence"
-    assert _manifest(forked)["selection"]["0.1"]["worker"]["exit"] == 0
+    assert _manifest(forked)["worker"]["exit"] == 0
     _assert_no_child()
 
 
 @needs_fork
 def test_dead_worker_is_one_line_and_exit_1(tmp_path, monkeypatch, capsys):
-    _patch_fits(monkeypatch, in_worker=lambda kernel: os._exit(3))
+    # this process holds its first fit until the worker has taken position 1
+    _hold_first_fit(monkeypatch, 1, in_worker=lambda kernel: os._exit(3))
     out = tmp_path / "out"
     cfg = _write(tmp_path, _mini())
+    open_fds = _open_fds()
     assert main(["experiment", "pendulum", "--config", cfg, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == ("error: ChildProcessError: the model selection process "
+    assert capsys.readouterr().err == ("error: ChildProcessError: the worker process "
                                        "ended without a result (exit status 3)\n")
     manifest = _manifest(out)
     assert manifest["status"] == "failed" and manifest["stages"] == ["system", "sampled:32"]
     assert manifest["error"].startswith("ChildProcessError: ")
-    worker = manifest["selection"]["0.1"]["worker"]
+    worker = manifest["worker"]
     assert set(worker) == WORKER_KEYS
-    assert worker["exit"] == 3 and worker["child_s"] is worker["peak_rss_mb"] is None
+    assert worker["exit"] == 3
+    assert worker["fits"] is worker["child_s"] is worker["private_mb"] is None
     _assert_no_child()
+    assert _open_fds() == open_fds
 
 
 @needs_fork
 def test_parent_failure_kills_the_worker(tmp_path, monkeypatch, forks):  # noqa: F811
     def stall(kernel):
         if kernel.family == "matern52":
-            time.sleep(60)          # still fitting position 3 when the parent fails
+            time.sleep(60)          # still fitting when the parent fails
 
+    # positions 2 and 3 are matern52: whichever this process takes first
+    # fails it while the worker is alive
     def fail(kernel):
         if kernel.family == "matern52":
-            raise RuntimeError("forced")    # position 2, after position 1 came back
+            raise RuntimeError("forced")
 
     _patch_fits(monkeypatch, in_worker=stall, in_parent=fail)
+    open_fds = _open_fds()
     start = time.perf_counter()
     with pytest.raises(RuntimeError, match="^forced$"):
         run_experiment(_mini(), str(tmp_path), rollouts=False)
     assert time.perf_counter() - start < 30
     manifest = _manifest(tmp_path)
     assert manifest["status"] == "failed"
-    assert manifest["selection"]["0.1"]["worker"]["exit"] == -9
+    worker = manifest["worker"]
+    assert worker["exit"] == -9 and worker["fits"] is worker["private_mb"] is None
     assert len(forks) == 1
     _assert_no_child()
+    assert _open_fds() == open_fds
 
 
 @needs_fork
@@ -158,16 +295,19 @@ def test_cli_output_appears_once_with_a_worker(tmp_path, capfd, monkeypatch):
 
 
 @needs_fork
-def test_train_forks_one_worker_per_dt(tmp_path, forks):  # noqa: F811
+def test_train_forks_one_worker_per_run(tmp_path, forks):  # noqa: F811
     cfg = _mini()
     cfg["delta_t_list"] = [0.1, 0.05]
     out = tmp_path / "out"
     assert main(["train", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
-    assert len(forks) == 2
+    assert len(forks) == 1
     _assert_no_child()
-    selection = _manifest(out)["selection"]
-    assert sorted(selection) == ["0.05", "0.1"]
-    assert all(entry["worker"]["exit"] == 0 for entry in selection.values())
+    manifest = _manifest(out)
+    assert "reference" not in manifest
+    worker = manifest["worker"]
+    assert worker["exit"] == 0 and list(worker["fits"]) == ["0.05", "0.1"]
+    # this process fitted position 0 of dT 0.05 at least
+    assert sum(worker["fits"].values()) <= 7
 
 
 def test_integer_grid_values_are_written_as_floats(tmp_path):
