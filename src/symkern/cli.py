@@ -3,7 +3,7 @@
 Subcommands: experiment {pendulum|chain|wave}, train, predict,
 diagnose-separability, check-bounds.  Exit codes: 0 success, 1 runtime
 failure, 2 configuration error, bad command-line input or a malformed
-model file.
+model file, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -194,6 +194,9 @@ def main(argv=None) -> int:
     except (SymkernError, OSError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=_sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -108,6 +108,16 @@ def _candidates(cfg):
             for eps in sorted(sel["epsilons"])]
 
 
+def _scored_fit(spec, greedy_cfg, train, val):
+    """(fit, (train_e, val_e)) of one candidate, or (None, exception type
+    name) for a package error, which is the candidate's table row."""
+    try:
+        fit = train_f_greedy(spec, train, greedy_cfg)
+        return fit, (max_residual_error(fit[0], train), max_residual_error(fit[0], val))
+    except SymkernError as exc:
+        return None, type(exc).__name__
+
+
 def select_model(specs, greedy_cfg, train, val, worker, step):
     """Grid search over the kernels specs, in canonical order, by
     validation residual, every candidate trained under greedy_cfg.
@@ -115,46 +125,29 @@ def select_model(specs, greedy_cfg, train, val, worker, step):
     The winner is the serial loop's: a candidate replaces the best only at
     a strictly smaller validation residual, so a tie goes to the earlier
     one and a NaN first success is never replaced.  This process fits and
-    scores the positions worker.claim(step) gives it.  The positions the
-    worker process took in between come back as their scores, then as
-    fits that pass through train_f_greedy's picks, so every candidate
-    costs one train_f_greedy call here.  The scores decide the best before
-    any of those fits is loaded, so at most the best fit and one other
-    are held.  Returns (kernel, (surrogate, trace) of its fit, table rows).
+    scores the positions worker.claim(step) gives it, and takes the
+    positions the worker process took in between in canonical order, each
+    fit passed through train_f_greedy's picks, so every candidate costs
+    one train_f_greedy call here.  While it takes them it holds the best
+    fit, its own latest fit and the fit being read.  Returns (kernel,
+    (surrogate, trace) of its fit, table rows).
     """
     rows = []
     best = best_fit = None
     k = 0
     while k < len(specs):
         j = worker.claim(step)
-        own = outcome = None
-        if j < len(specs):
-            try:
-                own = train_f_greedy(specs[j], train, greedy_cfg)
-                outcome = (max_residual_error(own[0], train), max_residual_error(own[0], val))
-            except SymkernError as exc:
-                outcome = type(exc).__name__
-        batch = [worker.take() for _ in range(k, min(j, len(specs)))]
-        if j < len(specs):
-            batch.append((None, outcome))
-        for p, (_, outcome) in enumerate(batch, k):
+        own = _scored_fit(specs[j], greedy_cfg, train, val) if j < len(specs) else None
+        for p in range(k, min(j + 1, len(specs))):
+            fit, outcome = own if p == j else worker.take(specs[p], greedy_cfg, train)
             if isinstance(outcome, str):
                 rows.append((specs[p].family, specs[p].epsilon, "", "", f"failed:{outcome}"))
-                continue
-            rows.append((specs[p].family, specs[p].epsilon, *outcome, ""))
-            if best is None or outcome[1] < best[1]:
-                best = (p, outcome[1])
-        # the fits that lost are released before the worker's are loaded
-        if best is not None and best[0] >= k:
-            best_fit = own if best[0] == j else None
-        own = None
-        for p, (notice, outcome) in enumerate(batch, k):
-            if notice is not None and not isinstance(outcome, str):
-                fit = train_f_greedy(specs[p], train, greedy_cfg, picks=worker.load(notice))
-                if p == best[0]:
-                    best_fit = fit
-                # a losing fit's Newton factor is not held through the next load
-                del fit
+            else:
+                rows.append((specs[p].family, specs[p].epsilon, *outcome, ""))
+                if best is None or outcome[1] < best[1]:
+                    best, best_fit = (p, outcome[1]), fit
+            del fit     # a losing fit's Newton factor is not held through the next load
+        own = None      # nor through this process's next fit
         k = j + 1
     if best is None:
         raise AllCandidatesFailed("every (family, epsilon) candidate failed to train")
@@ -226,8 +219,8 @@ def run_experiment(cfg, out_dir, rollouts: bool = True):
     """Execute one benchmark end to end; artifacts land in out_dir.
 
     Without rollouts the run stops once every macro step is trained (the
-    `symkern train` subcommand).  On failure the MANIFEST records the
-    completed stages before the exception propagates.
+    `symkern train` subcommand).  On failure, an interrupt included, the
+    MANIFEST records the completed stages before the exception propagates.
     """
     validate(cfg)
     ensure_dir(out_dir)
@@ -244,7 +237,7 @@ def run_experiment(cfg, out_dir, rollouts: bool = True):
         summary = _run_stages(cfg, out_dir, manifest, rollouts)
         checkpoint("complete")
         return summary
-    except Exception as exc:
+    except BaseException as exc:
         checkpoint("failed", f"{type(exc).__name__}: {exc}")
         raise
 
@@ -267,9 +260,9 @@ class _Worker:
 
     steps holds (tag, train, val) per macro step in schedule order.  The
     worker computes reference() first, when given.  Then, step by step,
-    it takes candidate positions, fits and scores each one, and appends
-    the scores and the pickled fit, or the exception, to the spool: an
-    unnamed file, each item announced by an (offset, length) notice on a
+    it takes candidate positions and appends what _scored_fit gives for
+    each, or the exception it raised, to the spool: an unnamed file of
+    plain pickles, each item announced by an (offset, length) notice on a
     pipe.  Its last item holds its fit counts, wall time and private
     memory.  A step's positions come from a counter at the spool's start,
     advanced under os.lockf, so each process takes the next position in
@@ -281,23 +274,21 @@ class _Worker:
     Without os.fork, or with fewer than two jobs (the reference and each
     candidate of each step), nothing forks: this process takes every
     position and computes the reference at the first reference() call.
-    A worker that ends before sending what this process reads raises
-    ChildProcessError naming its exit status or signal.  Leaving the
-    with-block kills and reaps a worker still alive and closes the pipe
-    and the spool.  manifest receives ``worker``, null inline, and with a
-    reference ``reference: {child_s, wait_s}``.
+    Forked, the first of take(), reference() and finish() reads the
+    reference, and it is kept.  A worker that ends before sending what
+    this process reads raises ChildProcessError naming its exit status or
+    signal.  Leaving the with-block kills and reaps a worker still alive
+    and closes the pipe and the spool.  manifest receives ``worker``,
+    null inline, and with a reference ``reference: {child_s, wait_s}``.
     """
 
     NOTICE = struct.Struct("<qq")       # offset, length
-    SCORES = struct.Struct("<?dd")      # fitted, train_e, val_e
-    UNSCORED = bytes(SCORES.size)       # the reference's and the last item's
     COUNTER = struct.Struct("<q")
 
     def __init__(self, cfg, steps, reference, manifest):
         self.cfg, self.steps, self.compute_reference = cfg, steps, reference
         self.taken = [0] * len(steps)
-        self.pid = self.notices = self.spool = self.held = None
-        self.ref = self.ref_notice = None
+        self.pid = self.notices = self.spool = self.held = self.ref = None
         self.info = None
         jobs = (reference is not None) + len(steps) * len(_candidates(cfg))
         if hasattr(os, "fork") and jobs > 1:
@@ -336,36 +327,35 @@ class _Worker:
             start = perf_counter()
             self.end = self.COUNTER.size * len(self.steps)
             if self.compute_reference is not None:
-                try:
-                    item = (self.compute_reference(), None)
-                except Exception as exc:  # raised again in the parent
-                    item = (None, exc)
-                item += (perf_counter() - start,)
-                self._send(write_fd, self.UNSCORED + pickle.dumps(item))
+                self._send(write_fd, self._timed_reference())
             specs, greedy_cfg = _candidates(self.cfg), _greedy_config(self.cfg)
             fits = []
             for step, (_, train, val) in enumerate(self.steps):
                 fits.append(0)
                 while (k := self.claim(step)) < len(specs):
-                    self._send(write_fd, self._scored_fit(specs[k], greedy_cfg, train, val))
+                    try:
+                        item = _scored_fit(specs[k], greedy_cfg, train, val)
+                    except Exception as exc:  # raised again in the parent
+                        item = (None, exc)
+                    self._send(write_fd, item)
                     fits[-1] += 1
-            self._send(write_fd, self.UNSCORED + pickle.dumps(
-                (fits, perf_counter() - start, _private_mb())))
+            self._send(write_fd, (fits, perf_counter() - start, _private_mb()))
             status = 0
         finally:
             os._exit(status)
 
-    @classmethod
-    def _scored_fit(cls, spec, greedy_cfg, train, val) -> bytes:
+    def _timed_reference(self):
+        """(path, None, seconds) of the micro reference, or (None,
+        exception, seconds) when computing it raised."""
+        start = perf_counter()
         try:
-            fit = train_f_greedy(spec, train, greedy_cfg)
-            scores = cls.SCORES.pack(True, max_residual_error(fit[0], train),
-                                     max_residual_error(fit[0], val))
-            return scores + pickle.dumps(fit)
-        except Exception as exc:  # tabled or raised again in the parent
-            return cls.SCORES.pack(False, math.nan, math.nan) + pickle.dumps(exc)
+            item = (self.compute_reference(), None)
+        except Exception as exc:  # raised where the reference is read
+            item = (None, exc)
+        return item + (perf_counter() - start,)
 
-    def _send(self, write_fd, item):
+    def _send(self, write_fd, obj):
+        item = pickle.dumps(obj)
         done = 0
         while done < len(item):
             done += os.pwrite(self.spool.fileno(), memoryview(item)[done:], self.end + done)
@@ -391,34 +381,20 @@ class _Worker:
             os.lockf(fd, os.F_ULOCK, size * len(self.steps))
         return k
 
-    def take(self):
-        """(notice, (train_e, val_e)) of the worker's next candidate, or
-        (notice, exception type name) for a package error, which is the
-        candidate's table row; any other exception is raised here."""
-        notice = self._notice()
-        fitted, train_e, val_e = self.SCORES.unpack(
-            os.pread(self.spool.fileno(), self.SCORES.size, notice[0]))
-        if fitted:
-            return notice, (train_e, val_e)
-        exc = self.load(notice)
-        if not isinstance(exc, SymkernError):
-            raise exc
-        return notice, type(exc).__name__
+    def take(self, spec, greedy_cfg, train):
+        """The worker's next candidate, spec, as _scored_fit gives it, its
+        fit passed through train_f_greedy's picks; an exception that is not
+        a package error is raised here."""
+        self._keep_reference()
+        fit, outcome = self._next()
+        if isinstance(outcome, Exception):
+            raise outcome
+        if fit is not None:
+            fit = train_f_greedy(spec, train, greedy_cfg, picks=fit)
+        return fit, outcome
 
-    def load(self, notice):
-        """The pickled object of a notice's item."""
-        offset, length = notice
-        return pickle.loads(os.pread(self.spool.fileno(), length - self.SCORES.size,
-                                     offset + self.SCORES.size))
-
-    def _notice(self, reference=False):
-        """The worker's next notice, or with reference the reference's:
-        the worker's first, which is kept once read."""
-        if self.ref_notice is None and self.compute_reference is not None:
-            self.ref_notice, self.ref_info["wait_s"] = self._read()
-        return self.ref_notice if reference else self._read()[0]
-
-    def _read(self):
+    def _next(self):
+        """The worker's next item, unpickled."""
         start = perf_counter()
         # a notice is written whole, so a read returns all of it or none
         data = os.read(self.notices, self.NOTICE.size)
@@ -427,34 +403,33 @@ class _Worker:
             code = self.info["exit"]
             how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
             raise ChildProcessError(f"the worker process ended without a result ({how})")
-        wait = perf_counter() - start
-        self.info["wait_s"] += wait
-        return self.NOTICE.unpack(data), wait
+        self.info["wait_s"] += perf_counter() - start
+        offset, length = self.NOTICE.unpack(data)
+        return pickle.loads(os.pread(self.spool.fileno(), length, offset))
+
+    def _keep_reference(self):
+        """Read the reference's item, the worker's first, or inline compute
+        it, once; its wait is the first read's, inline its whole time."""
+        if self.ref is None and self.compute_reference is not None:
+            self.ref = self._timed_reference() if self.info is None else self._next()
+            self.ref_info["wait_s"] = self.ref[2] if self.info is None else self.info["wait_s"]
 
     def reference(self) -> np.ndarray:
         """The micro reference, raising its failure with the inline type
-        and message; inline it is computed at the first call."""
-        if self.ref is not None:
-            return self.ref
-        if self.spool is None:
-            start = perf_counter()
-            try:
-                self.ref = self.compute_reference()
-            finally:
-                self.ref_info["child_s"] = self.ref_info["wait_s"] = perf_counter() - start
-            return self.ref
-        path, exc, self.ref_info["child_s"] = self.load(self._notice(reference=True))
+        and message."""
+        self._keep_reference()
+        path, exc, self.ref_info["child_s"] = self.ref
         if exc is not None:
             raise exc
-        self.ref = path
         return path
 
     def finish(self):
-        """Read the worker's last item and reap it, once every step is
-        trained; the reference stays in the spool until read."""
+        """Read the worker's last item, after the reference if no read came
+        before, and reap it, once every step is trained."""
         if self.pid is None:
             return
-        counts, self.info["child_s"], self.info["private_mb"] = self.load(self._notice())
+        self._keep_reference()
+        counts, self.info["child_s"], self.info["private_mb"] = self._next()
         self.info["fits"] = {tag: n for (tag, _, _), n in zip(self.steps, counts)}
         self._reap()
 

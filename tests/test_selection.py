@@ -215,16 +215,105 @@ def test_failed_worker_candidate_is_the_inline_row(tmp_path, monkeypatch):
         if (kernel.family, kernel.epsilon) == ("gaussian", 2.0):
             raise NoConvergence("forced")
 
-    _patch_fits(monkeypatch, in_worker=fail, in_parent=fail)
     forked, inline = tmp_path / "forked", tmp_path / "inline"
-    run_experiment(_mini(), str(forked), rollouts=False)
+    # this process holds its first fit until the worker has claimed
+    # position 1, gaussian 2.0, so the failure is the worker's
+    with monkeypatch.context() as patch:
+        _hold_first_fit(patch, 1, in_worker=fail)
+        run_experiment(_mini(), str(forked), rollouts=False)
+    _patch_fits(monkeypatch, in_parent=fail)
     monkeypatch.delattr(os, "fork")
     run_experiment(_mini(), str(inline), rollouts=False)
     _same_artifacts(forked, inline)
     rows = (forked / "selection_table.csv").read_text().splitlines()
     assert rows[2] == "0.1,gaussian,2.0,,,failed:NoConvergence"
-    assert _manifest(forked)["worker"]["exit"] == 0
+    worker = _manifest(forked)["worker"]
+    assert worker["exit"] == 0 and worker["fits"]["0.1"] >= 1
     _assert_no_child()
+
+
+@needs_fork
+def test_reference_failure_read_before_a_worker_fit(tmp_path, monkeypatch):
+    # the worker's first item, the failed reference, is read by the first
+    # take() and raised at the first rollout, as inline
+    def fail(*args, **kwargs):
+        raise NoConvergence("step 3: midpoint Newton did not converge")
+
+    monkeypatch.setattr(experiment_mod, "midpoint_many", fail)
+    forked, inline = tmp_path / "forked", tmp_path / "inline"
+    with monkeypatch.context() as patch:
+        _hold_first_fit(patch, 1)
+        with pytest.raises(NoConvergence, match=r"^step 3: midpoint Newton did not converge$"):
+            run_experiment(_mini(), str(forked))
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(NoConvergence, match=r"^step 3: midpoint Newton did not converge$"):
+        run_experiment(_mini(), str(inline))
+    manifest = _manifest(forked)
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == "NoConvergence: step 3: midpoint Newton did not converge"
+    assert manifest["stages"][:2] == ["system", "sampled:32"]
+    assert manifest["stages"][2].startswith("trained:0.1:") and len(manifest["stages"]) == 3
+    assert _manifest(inline)["stages"] == manifest["stages"]
+    # the worker fitted position 1 at least, so take() read the reference
+    assert manifest["worker"]["exit"] == 0 and manifest["worker"]["fits"]["0.1"] >= 1
+    _assert_no_child()
+
+
+@needs_fork
+def test_worker_fit_raising_a_foreign_error_is_one_line_and_exit_1(tmp_path, monkeypatch,
+                                                                    capsys):
+    def fail(kernel):
+        raise MemoryError("forced")
+
+    _hold_first_fit(monkeypatch, 1, in_worker=fail)
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, _mini())
+    open_fds = _open_fds()
+    assert main(["experiment", "pendulum", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: MemoryError: forced\n"
+    manifest = _manifest(out)
+    assert manifest["status"] == "failed" and manifest["stages"] == ["system", "sampled:32"]
+    assert manifest["error"] == "MemoryError: forced"
+    assert manifest["worker"]["exit"] in (0, -9)
+    _assert_no_child()
+    assert _open_fds() == open_fds
+
+
+@needs_fork
+def test_interrupt_is_one_line_exit_130_and_a_failed_manifest(tmp_path, monkeypatch,
+                                                               capsys):
+    # the worker fits positions 1 to 3 of dT 0.05 and stalls on its first
+    # fit of dT 0.1 while this process rolls out dT 0.05 and is interrupted
+    calls = []
+
+    def stall(kernel):
+        calls.append(kernel)
+        if len(calls) == 4:
+            time.sleep(60)
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    _hold_first_fit(monkeypatch, 3, in_worker=stall)
+    monkeypatch.setattr(experiment_mod, "rollout", interrupt)
+    cfg = _mini()
+    cfg["delta_t_list"] = [0.1, 0.05]
+    out = tmp_path / "out"
+    open_fds = _open_fds()
+    start = time.perf_counter()
+    assert main(["experiment", "pendulum", "--config", _write(tmp_path, cfg),
+                 "--out", str(out)]) == 130
+    assert time.perf_counter() - start < 30
+    assert capsys.readouterr().err == "interrupted\n"
+    manifest = _manifest(out)
+    assert manifest["status"] == "failed" and manifest["error"].startswith("KeyboardInterrupt")
+    stages = manifest["stages"]
+    assert stages[:2] == ["system", "sampled:32"] and stages[3:] == ["reference"]
+    assert stages[2].startswith("trained:0.05:")
+    worker = manifest["worker"]
+    assert worker["exit"] == -9 and worker["fits"] is worker["private_mb"] is None
+    _assert_no_child()
+    assert _open_fds() == open_fds
 
 
 @needs_fork

@@ -79,10 +79,15 @@ def test_tolerance_stops_selection_and_the_budget_fit_replays(monkeypatch, tmp_p
 
     monkeypatch.setattr(greedy, "_select", spy)
     if hasattr(os, "fork"):
-        # the worker fits epsilon 2.0 in its own process; this one selects
-        # only for epsilon 1.0, and neither the worker's fit nor the budget
-        # fit selects again here
-        run_experiment(cfg, str(tmp_path / "forked"), rollouts=False)
+        from test_selection import _hold_first_fit  # it imports this module
+
+        # this process holds its fit of position 0 until the worker has
+        # claimed position 1, so the worker fits epsilon 2.0 in its own
+        # process; this one selects only for epsilon 1.0, and neither the
+        # worker's fit nor the budget fit selects again here
+        with monkeypatch.context() as patch:
+            _hold_first_fit(patch, 1)
+            run_experiment(cfg, str(tmp_path / "forked"), rollouts=False)
         assert [eps for eps, _ in fits] == [1.0]
         fits.clear()
         monkeypatch.delattr(os, "fork")
