@@ -5,9 +5,10 @@ step size, selects the kernel on a validation split, trains to the center
 budget, rolls out seeded test trajectories against the macro midpoint
 baseline and the micro reference, and writes CSV/SVG/model artifacts.
 The macro steps are trained and rolled out one at a time, smallest first.
-Where os.fork exists one worker process computes the micro reference and
-then fits selection candidates beside this one, so it fits the next
-step's candidates while this process rolls out the current one.
+Where os.fork exists one worker process fits selection candidates beside
+this one: it fits while this process computes the micro reference, and
+it fits the next step's candidates while this process rolls out the
+current one.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import pickle
 import struct
 import tempfile
 from dataclasses import replace
-from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -238,7 +238,8 @@ def run_experiment(cfg, out_dir, rollouts: bool = True):
         checkpoint("complete")
         return summary
     except BaseException as exc:
-        checkpoint("failed", f"{type(exc).__name__}: {exc}")
+        checkpoint("failed", f"{type(exc).__name__}: {exc}" if str(exc)
+                   else type(exc).__name__)
         raise
 
 
@@ -258,45 +259,37 @@ class _Worker:
     """The run's worker process, and the candidate positions it shares
     with this process.
 
-    steps holds (tag, train, val) per macro step in schedule order.  The
-    worker computes reference() first, when given.  Then, step by step,
-    it takes candidate positions and appends what _scored_fit gives for
-    each, or the exception it raised, to the spool: an unnamed file of
-    plain pickles, each item announced by an (offset, length) notice on a
-    pipe.  Its last item holds its fit counts, wall time and private
-    memory.  A step's positions come from a counter at the spool's start,
-    advanced under os.lockf, so each process takes the next position in
-    canonical order; this process holds position 0 of the first step
-    from the fork on.  The worker leaves only through os._exit: it never
-    unwinds into the parent's stack or flushes the stdio it inherited,
-    and an interrupt ends it without a result.
+    steps holds (tag, train, val) per macro step in schedule order.  Step
+    by step, the worker takes candidate positions and appends what
+    _scored_fit gives for each, or the exception it raised, to the spool:
+    an unnamed file of plain pickles, each item announced by an (offset,
+    length) notice on a pipe.  Its last item holds its fit counts, wall
+    time and private memory.  A step's positions come from a counter at
+    the spool's start, advanced under os.lockf, so each process takes the
+    next position in canonical order; this process holds position 0 of
+    the first step from the fork on.  The worker leaves only through
+    os._exit: it never unwinds into the parent's stack or flushes the
+    stdio it inherited, and an interrupt ends it without a result.
 
-    Without os.fork, or with fewer than two jobs (the reference and each
-    candidate of each step), nothing forks: this process takes every
-    position and computes the reference at the first reference() call.
-    Forked, the first of take(), reference() and finish() reads the
-    reference, and it is kept.  A worker that ends before sending what
-    this process reads raises ChildProcessError naming its exit status or
-    signal.  Leaving the with-block kills and reaps a worker still alive
-    and closes the pipe and the spool.  manifest receives ``worker``,
-    null inline, and with a reference ``reference: {child_s, wait_s}``.
+    Without os.fork, or with fewer than two candidates over all steps,
+    nothing forks and this process takes every position.  A worker that
+    ends before sending what this process reads raises ChildProcessError
+    naming its exit status or signal.  Leaving the with-block kills and
+    reaps a worker still alive and closes the pipe and the spool.
+    manifest receives ``worker``, null inline.
     """
 
     NOTICE = struct.Struct("<qq")       # offset, length
     COUNTER = struct.Struct("<q")
 
-    def __init__(self, cfg, steps, reference, manifest):
-        self.cfg, self.steps, self.compute_reference = cfg, steps, reference
+    def __init__(self, cfg, steps, manifest):
+        self.cfg, self.steps = cfg, steps
         self.taken = [0] * len(steps)
-        self.pid = self.notices = self.spool = self.held = self.ref = None
-        self.info = None
-        jobs = (reference is not None) + len(steps) * len(_candidates(cfg))
-        if hasattr(os, "fork") and jobs > 1:
+        self.pid = self.notices = self.spool = self.held = self.info = None
+        if hasattr(os, "fork") and len(steps) * len(_candidates(cfg)) > 1:
             self.info = {"fits": None, "child_s": None, "wait_s": 0.0, "exit": None,
                          "private_mb": None}
         manifest["worker"] = self.info
-        if reference is not None:
-            self.ref_info = manifest["reference"] = {"child_s": None, "wait_s": None}
 
     def __enter__(self):
         if self.info is None:
@@ -326,8 +319,6 @@ class _Worker:
         try:
             start = perf_counter()
             self.end = self.COUNTER.size * len(self.steps)
-            if self.compute_reference is not None:
-                self._send(write_fd, self._timed_reference())
             specs, greedy_cfg = _candidates(self.cfg), _greedy_config(self.cfg)
             fits = []
             for step, (_, train, val) in enumerate(self.steps):
@@ -343,16 +334,6 @@ class _Worker:
             status = 0
         finally:
             os._exit(status)
-
-    def _timed_reference(self):
-        """(path, None, seconds) of the micro reference, or (None,
-        exception, seconds) when computing it raised."""
-        start = perf_counter()
-        try:
-            item = (self.compute_reference(), None)
-        except Exception as exc:  # raised where the reference is read
-            item = (None, exc)
-        return item + (perf_counter() - start,)
 
     def _send(self, write_fd, obj):
         item = pickle.dumps(obj)
@@ -385,7 +366,6 @@ class _Worker:
         """The worker's next candidate, spec, as _scored_fit gives it, its
         fit passed through train_f_greedy's picks; an exception that is not
         a package error is raised here."""
-        self._keep_reference()
         fit, outcome = self._next()
         if isinstance(outcome, Exception):
             raise outcome
@@ -407,28 +387,11 @@ class _Worker:
         offset, length = self.NOTICE.unpack(data)
         return pickle.loads(os.pread(self.spool.fileno(), length, offset))
 
-    def _keep_reference(self):
-        """Read the reference's item, the worker's first, or inline compute
-        it, once; its wait is the first read's, inline its whole time."""
-        if self.ref is None and self.compute_reference is not None:
-            self.ref = self._timed_reference() if self.info is None else self._next()
-            self.ref_info["wait_s"] = self.ref[2] if self.info is None else self.info["wait_s"]
-
-    def reference(self) -> np.ndarray:
-        """The micro reference, raising its failure with the inline type
-        and message."""
-        self._keep_reference()
-        path, exc, self.ref_info["child_s"] = self.ref
-        if exc is not None:
-            raise exc
-        return path
-
     def finish(self):
-        """Read the worker's last item, after the reference if no read came
-        before, and reap it, once every step is trained."""
+        """Read the worker's last item and reap it, once every step is
+        trained."""
         if self.pid is None:
             return
-        self._keep_reference()
         counts, self.info["child_s"], self.info["private_mb"] = self._next()
         self.info["fits"] = {tag: n for (tag, _, _), n in zip(self.steps, counts)}
         self._reap()
@@ -453,9 +416,8 @@ def _reference(cfg, sys_, stride) -> np.ndarray:
     """The micro reference on the test states, every stride-th state (the
     states compute_metrics reads); row 0 holds the test states."""
     micro = cfg["micro_dt"]
-    path = midpoint_many(sys_, test_states(cfg, sys_), micro,
-                         step_count(cfg["test"]["horizon"], micro), keep_path=True)
-    return path[::stride].copy()
+    return midpoint_many(sys_, test_states(cfg, sys_), micro,
+                         step_count(cfg["test"]["horizon"], micro), every=stride)
 
 
 def _splits(cfg, sys_, states, out_dir):
@@ -498,9 +460,13 @@ def _run_stages(cfg, out_dir, manifest, rollouts):
     stride = math.gcd(*(step_count(dt, cfg["micro_dt"]) for dt, *_ in splits))
     summary = {"out_dir": out_dir, "per_dt": {tag: {} for _, tag, *_ in splits}}
     sel_rows, outputs = {}, {}
-    with _Worker(cfg, [split[1:] for split in schedule],
-                 partial(_reference, cfg, sys_, stride) if rollouts else None,
-                 manifest) as worker:
+    with _Worker(cfg, [split[1:] for split in schedule], manifest) as worker:
+        # the worker fits the first step's candidates meanwhile
+        if rollouts:
+            start = perf_counter()
+            ref_path = _reference(cfg, sys_, stride)
+            manifest["reference"] = {"wall_s": perf_counter() - start}
+            stages.append("reference")
         for step, (dt, tag, train, val) in enumerate(schedule):
             kspec, surr, trace, sel_rows[tag] = train_one(cfg, dt, train, val, out_dir,
                                                           worker, step)
@@ -517,9 +483,6 @@ def _run_stages(cfg, out_dir, manifest, rollouts):
                           ["delta_t", "family", "epsilon", "train_error", "val_error", "note"],
                           [row for _, tag_, *_ in splits for row in sel_rows[tag_]])
             if rollouts:
-                ref_path = worker.reference()
-                if step == 0:
-                    stages.append("reference")
                 outputs[tag] = _roll_out(cfg, sys_, dt, surr, trace,
                                          ref_path, stride, summary["per_dt"][tag])
                 stages.append(f"rollout:{tag}")

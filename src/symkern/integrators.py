@@ -113,20 +113,23 @@ def propagate(sys: HamiltonianSystem, x0, dt: float, steps: int) -> Trajectory:
     return compose(lambda x: implicit_midpoint_step(sys, x, dt), x0, dt, steps)
 
 
-def midpoint_many(sys: HamiltonianSystem, X0, dt: float, steps: int,
-                  keep_path: bool = False):
+def midpoint_many(sys: HamiltonianSystem, X0, dt: float, steps: int, every=None):
     """Advance a batch of states with the implicit midpoint rule.
 
-    Returns the (M, 2n) final states, or the full (steps+1, M, 2n) path
-    when keep_path is set.  Each row's tolerance comes from its initial
-    state.  Every row keeps stepping until all rows pass, so a row's bits
-    can depend on its batch.
+    Returns the (M, 2n) final states, or with every=k the
+    (steps // k + 1, M, 2n) states at every k-th step, X0 first; k must
+    divide steps.  Each row's tolerance comes from its initial state.
+    Every row keeps stepping until all rows pass, so a row's bits can
+    depend on its batch.
     """
     X = np.asarray(X0, dtype=float).copy()
     if X.ndim != 2:
         raise ValueError("midpoint_many expects an (M, 2n) batch")
-    path = np.empty((steps + 1,) + X.shape) if keep_path else None
-    if keep_path:
+    path = None
+    if every is not None:
+        if every < 1 or steps % every:
+            raise ValueError(f"every={every} is not a divisor of steps={steps}")
+        path = np.empty((steps // every + 1,) + X.shape)
         path[0] = X
     if sys.quadratic:
         S = np.linalg.solve(*_midpoint_matrices(sys, dt))
@@ -139,6 +142,6 @@ def midpoint_many(sys: HamiltonianSystem, X0, dt: float, steps: int,
             X = advance(X)
         except NoConvergence as exc:
             raise NoConvergence(f"step {k}: {exc}") from exc
-        if keep_path:
-            path[k + 1] = X
-    return path if keep_path else X
+        if path is not None and (k + 1) % every == 0:
+            path[(k + 1) // every] = X
+    return X if path is None else path

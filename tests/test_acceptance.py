@@ -220,7 +220,7 @@ def test_criterion_09_mor_structure(wave_run):
     from symkern.integrators import midpoint_many
 
     z0 = sample_states(sys_, sampler_for(cfg, sys_))[0]
-    path = midpoint_many(sys_, z0[None, :], 0.1, 100, keep_path=True)[:, 0, :]
+    path = midpoint_many(sys_, z0[None, :], 0.1, 100, every=1)[:, 0, :]
     H = sys_.energy_many(path)
     drift = float(np.max(np.abs(H - H[0])))
     _, rows = read_csv(out / "rel_error.csv")

@@ -122,9 +122,27 @@ def test_midpoint_many_matches_scalar_path():
 
 def test_midpoint_many_keep_path():
     X = np.array([[0.5, 0.0], [0.2, 0.1]])
-    path = midpoint_many(Pendulum(), X, 1e-2, 10, keep_path=True)
+    path = midpoint_many(Pendulum(), X, 1e-2, 10, every=1)
     assert path.shape == (11, 2, 2)
     assert np.allclose(path[0], X)
+
+
+@pytest.mark.parametrize("sys_", [Pendulum(), Chain(3), Quadratic(np.diag([1.0, 2.0, 0.5, 3.0]))],
+                         ids=lambda s: s.name)
+def test_midpoint_many_every_kth_state_is_the_full_paths(sys_):
+    X = np.random.default_rng(3).uniform(-0.5, 0.5, (4, sys_.dim))
+    full = midpoint_many(sys_, X, 1e-2, 24, every=1)
+    assert np.array_equal(full[-1], midpoint_many(sys_, X, 1e-2, 24))
+    for k in (2, 3, 8, 24):
+        kept = midpoint_many(sys_, X, 1e-2, 24, every=k)
+        assert kept.shape == (24 // k + 1, 4, sys_.dim)
+        assert kept.tobytes() == full[::k].tobytes(), k
+
+
+@pytest.mark.parametrize("every", [0, -2, 5, 48])
+def test_midpoint_many_rejects_an_every_that_does_not_divide_steps(every):
+    with pytest.raises(ValueError, match=f"^every={every} is not a divisor of steps=24$"):
+        midpoint_many(Pendulum(), np.zeros((1, 2)), 1e-2, 24, every=every)
 
 
 def test_baseline_error_decreases_with_macro_step():
@@ -204,8 +222,7 @@ def test_trajectory_times_are_step_multiples():
     traj = propagate(Pendulum(), np.array([0.3, 0.0]), 0.05, 6)
     assert traj.times.tobytes() == (np.arange(7) * 0.05).tobytes()
     # a reference trajectory cut from a batched path, as the experiment does
-    path = midpoint_many(Pendulum(), np.array([[0.3, 0.0], [0.1, 0.2]]), 1e-3, 40,
-                         keep_path=True)
+    path = midpoint_many(Pendulum(), np.array([[0.3, 0.0], [0.1, 0.2]]), 1e-3, 40, every=1)
     ref = Trajectory(path[:, 1, :], 1e-3)
     assert ref.times.tobytes() == (np.arange(41) * 1e-3).tobytes()
     assert ref.states.shape[0] - 1 == 40

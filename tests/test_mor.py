@@ -116,7 +116,7 @@ def test_reduced_midpoint_conserves_energy():
     red = reduce_quadratic(basis, w)
     rng = np.random.default_rng(11)
     z0 = rng.uniform(-1, 1, 4)
-    path = midpoint_many(red, z0[None, :], 0.05, 100, keep_path=True)[:, 0, :]
+    path = midpoint_many(red, z0[None, :], 0.05, 100, every=1)[:, 0, :]
     H = red.energy_many(path)
     assert np.max(np.abs(H - H[0])) <= 1e-10 * max(1.0, abs(H[0]))
 
@@ -148,8 +148,8 @@ def test_wave_reduction_is_exact_on_the_test_states():
     steps = step_count(cfg["test"]["horizon"], cfg["micro_dt"])
     # experiment.test_states: pytest would collect the bare name as a test
     z0 = experiment.test_states(cfg, reduced)
-    lifted = basis.lift(midpoint_many(reduced, z0, cfg["micro_dt"], steps, keep_path=True))
-    path = midpoint_many(full, basis.lift(z0), cfg["micro_dt"], steps, keep_path=True)
+    lifted = basis.lift(midpoint_many(reduced, z0, cfg["micro_dt"], steps, every=1))
+    path = midpoint_many(full, basis.lift(z0), cfg["micro_dt"], steps, every=1)
     rel = np.linalg.norm(lifted - path, axis=2) / np.linalg.norm(path, axis=2)
     assert path.shape == (steps + 1, 3, 2 * s["n_grid"])
     assert np.max(rel) <= 1e-9

@@ -1,11 +1,12 @@
 """Model selection on two processes, and the spelling of grid values.
 
-Where os.fork exists and a run has two or more jobs, one forked worker
-takes candidate positions from a counter it shares with this process,
-fits and scores them, while this process trains and rolls out one macro
-step at a time.  Whatever way the run ends, the worker is reaped and no
-descriptor stays open, a candidate that fails in it reads as it would
-inline, and the artifacts are those of the inline loop.
+Where os.fork exists and a run has two or more candidates, one forked
+worker takes candidate positions from a counter it shares with this
+process, fits and scores them, while this process computes the micro
+reference, then trains and rolls out one macro step at a time.  Whatever
+way the run ends, the worker is reaped and no descriptor stays open, a
+candidate that fails in it reads as it would inline, and the artifacts
+are those of the inline loop.
 """
 
 import io
@@ -21,21 +22,11 @@ from symkern import greedy
 from symkern.cli import main
 from symkern.errors import NoConvergence
 from symkern.experiment import run_experiment
-from test_reference_child import (WORKER_KEYS, _assert_no_child, _manifest, _open_fds,
-                                  forks)  # noqa: F401
+from test_reference_child import (MINI, WORKER_KEYS, _assert_no_child, _manifest, _mini,
+                                  _open_fds, forks)  # noqa: F401
 from test_trace_sites import _tiny
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-
-# 2 families x 2 epsilons, in canonical order gaussian 1.0, gaussian 2.0,
-# matern52 1.0, matern52 2.0; this process holds position 0 of the first step
-MINI = {"families": ["gaussian", "matern52"], "epsilons": [1.0, 2.0]}
-
-
-def _mini(experiment="pendulum"):
-    cfg = _tiny(experiment)
-    cfg["selection"].update(MINI)
-    return cfg
 
 
 def _write(tmp_path, cfg):
@@ -109,7 +100,7 @@ def test_worker_writes_the_inline_bytes(tmp_path, monkeypatch, experiment):
     forked, _ = _forked_and_inline(tmp_path, monkeypatch, _mini(experiment))
     worker = _manifest(forked)["worker"]
     assert set(worker) == WORKER_KEYS and worker["exit"] == 0
-    # the worker computed the reference and took what this process left
+    # the worker took what this process left
     assert list(worker["fits"]) == ["0.1"] and 0 <= worker["fits"]["0.1"] <= 3
     assert worker["child_s"] > 0 and worker["wait_s"] >= 0
     if os.path.exists("/proc/self/smaps_rollup"):
@@ -124,7 +115,7 @@ def test_three_steps_write_the_inline_bytes(tmp_path, monkeypatch):
     manifest = _manifest(forked)
     # trained and rolled out one step at a time, smallest dT first
     assert [":".join(stage.split(":")[:2]) for stage in manifest["stages"][2:]] == [
-        "trained:0.025", "reference", "rollout:0.025", "trained:0.05", "rollout:0.05",
+        "reference", "trained:0.025", "rollout:0.025", "trained:0.05", "rollout:0.05",
         "trained:0.1", "rollout:0.1", "artifacts"]
     assert list(manifest["worker"]["fits"]) == ["0.025", "0.05", "0.1"]
     # the table, the error curves and the summary keep config order
@@ -233,30 +224,27 @@ def test_failed_worker_candidate_is_the_inline_row(tmp_path, monkeypatch):
 
 
 @needs_fork
-def test_reference_failure_read_before_a_worker_fit(tmp_path, monkeypatch):
-    # the worker's first item, the failed reference, is read by the first
-    # take() and raised at the first rollout, as inline
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
+def test_reference_failure_comes_before_any_fit_here(tmp_path, monkeypatch, forks,  # noqa: F811
+                                                     fork):
+    # the reference is computed once the worker is forked and before this
+    # process fits its first candidate
     def fail(*args, **kwargs):
         raise NoConvergence("step 3: midpoint Newton did not converge")
 
+    own_fits = []
+    _patch_fits(monkeypatch, in_parent=own_fits.append)
     monkeypatch.setattr(experiment_mod, "midpoint_many", fail)
-    forked, inline = tmp_path / "forked", tmp_path / "inline"
-    with monkeypatch.context() as patch:
-        _hold_first_fit(patch, 1)
-        with pytest.raises(NoConvergence, match=r"^step 3: midpoint Newton did not converge$"):
-            run_experiment(_mini(), str(forked))
-    monkeypatch.delattr(os, "fork")
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    open_fds = _open_fds()
     with pytest.raises(NoConvergence, match=r"^step 3: midpoint Newton did not converge$"):
-        run_experiment(_mini(), str(inline))
-    manifest = _manifest(forked)
-    assert manifest["status"] == "failed"
-    assert manifest["error"] == "NoConvergence: step 3: midpoint Newton did not converge"
-    assert manifest["stages"][:2] == ["system", "sampled:32"]
-    assert manifest["stages"][2].startswith("trained:0.1:") and len(manifest["stages"]) == 3
-    assert _manifest(inline)["stages"] == manifest["stages"]
-    # the worker fitted position 1 at least, so take() read the reference
-    assert manifest["worker"]["exit"] == 0 and manifest["worker"]["fits"]["0.1"] >= 1
+        run_experiment(_mini(), str(tmp_path))
+    assert own_fits == []
+    assert _manifest(tmp_path)["stages"] == ["system", "sampled:32"]
+    assert len(forks) == int(fork)
     _assert_no_child()
+    assert _open_fds() == open_fds
 
 
 @needs_fork
@@ -272,7 +260,8 @@ def test_worker_fit_raising_a_foreign_error_is_one_line_and_exit_1(tmp_path, mon
     assert main(["experiment", "pendulum", "--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: MemoryError: forced\n"
     manifest = _manifest(out)
-    assert manifest["status"] == "failed" and manifest["stages"] == ["system", "sampled:32"]
+    assert manifest["status"] == "failed"
+    assert manifest["stages"] == ["system", "sampled:32", "reference"]
     assert manifest["error"] == "MemoryError: forced"
     assert manifest["worker"]["exit"] in (0, -9)
     _assert_no_child()
@@ -306,10 +295,11 @@ def test_interrupt_is_one_line_exit_130_and_a_failed_manifest(tmp_path, monkeypa
     assert time.perf_counter() - start < 30
     assert capsys.readouterr().err == "interrupted\n"
     manifest = _manifest(out)
-    assert manifest["status"] == "failed" and manifest["error"].startswith("KeyboardInterrupt")
+    # a KeyboardInterrupt has no message, so the error is its type alone
+    assert manifest["status"] == "failed" and manifest["error"] == "KeyboardInterrupt"
     stages = manifest["stages"]
-    assert stages[:2] == ["system", "sampled:32"] and stages[3:] == ["reference"]
-    assert stages[2].startswith("trained:0.05:")
+    assert stages[:3] == ["system", "sampled:32", "reference"] and len(stages) == 4
+    assert stages[3].startswith("trained:0.05:")
     worker = manifest["worker"]
     assert worker["exit"] == -9 and worker["fits"] is worker["private_mb"] is None
     _assert_no_child()
@@ -327,7 +317,8 @@ def test_dead_worker_is_one_line_and_exit_1(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == ("error: ChildProcessError: the worker process "
                                        "ended without a result (exit status 3)\n")
     manifest = _manifest(out)
-    assert manifest["status"] == "failed" and manifest["stages"] == ["system", "sampled:32"]
+    assert manifest["status"] == "failed"
+    assert manifest["stages"] == ["system", "sampled:32", "reference"]
     assert manifest["error"].startswith("ChildProcessError: ")
     worker = manifest["worker"]
     assert set(worker) == WORKER_KEYS

@@ -123,6 +123,8 @@ def test_desk_run_cross_checks_pass(monkeypatch, tmp_path, experiment):
     checks = cross_checks(tracer, f"{experiment}-desk", expected, iterations)
     assert len(checks) == 5
     assert [(name, detail) for name, ok, detail in checks if not ok] == []
+    # the micro reference runs in this process, where the tracer sees it
+    assert tracer.seconds("integrators.midpoint_many", "experiment") > 0
     # the errors come from one pass per macro step, not one per test state
     assert tracer.calls("metrics.compute_metrics") == len(cfg["delta_t_list"])
     assert tracer.calls("metrics.mean_series") == 5 * len(cfg["delta_t_list"])
