@@ -190,8 +190,6 @@ def _bound(x) -> str:
 
 def validate(cfg: dict) -> dict:
     """Type, range and cross-field checks; returns cfg on success."""
-    if cfg["experiment"] not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {cfg['experiment']!r}")
     leaves = list(_leaves(cfg, default_config(cfg["experiment"], cfg["scale"])))
     _check_types(leaves)
     if cfg["scenario"] not in ("A", "B"):

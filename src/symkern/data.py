@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DimensionMismatch, FilterTooTight, NotOneDOF, TooFewSamples
 from .integrators import midpoint_many, step_count
 from .surrogate import HBDataset
-from .systems import HamiltonianSystem, apply_jt
+from .systems import HamiltonianSystem, apply_j
 
 BOX_CHUNK = 8192
 MAX_DRAWS = 10_000_000
@@ -104,7 +104,7 @@ def build_hb_dataset(sys: HamiltonianSystem, states, delta_t: float,
     XT = midpoint_many(sys, X0, micro_dt, K)
     n = sys.n
     xi = np.concatenate([X0[:, :n], XT[:, n:]], axis=1)
-    y = apply_jt(XT - X0) / delta_t
+    y = -apply_j(XT - X0) / delta_t
     info = {"system": sys.name, "delta_t": float(delta_t), "micro_dt": float(micro_dt),
             "count": int(X0.shape[0])}
     info.update(meta or {})

@@ -118,9 +118,9 @@ def _scored_fit(spec, greedy_cfg, train, val):
         return None, type(exc).__name__
 
 
-def select_model(specs, greedy_cfg, train, val, worker, step):
-    """Grid search over the kernels specs, in canonical order, by
-    validation residual, every candidate trained under greedy_cfg.
+def select_model(train, val, worker, step):
+    """Grid search over the kernels worker.specs, in canonical order, by
+    validation residual, every candidate trained under worker.greedy_cfg.
 
     The winner is the serial loop's: a candidate replaces the best only at
     a strictly smaller validation residual, so a tie goes to the earlier
@@ -132,14 +132,15 @@ def select_model(specs, greedy_cfg, train, val, worker, step):
     fit, its own latest fit and the fit being read.  Returns (kernel,
     (surrogate, trace) of its fit, table rows).
     """
+    specs = worker.specs
     rows = []
     best = best_fit = None
     k = 0
     while k < len(specs):
         j = worker.claim(step)
-        own = _scored_fit(specs[j], greedy_cfg, train, val) if j < len(specs) else None
+        own = _scored_fit(specs[j], worker.greedy_cfg, train, val) if j < len(specs) else None
         for p in range(k, min(j + 1, len(specs))):
-            fit, outcome = own if p == j else worker.take(specs[p], greedy_cfg, train)
+            fit, outcome = own if p == j else worker.take(p, train)
             if isinstance(outcome, str):
                 rows.append((specs[p].family, specs[p].epsilon, "", "", f"failed:{outcome}"))
             else:
@@ -154,40 +155,23 @@ def select_model(specs, greedy_cfg, train, val, worker, step):
     return specs[best[0]], best_fit, rows
 
 
-def center_budget(cfg) -> int:
-    budget = cfg["greedy"]["max_centers"]
-    if cfg["scenario"] == "B" and cfg["experiment"] == "pendulum":
-        budget = max(1, budget // 2)        # smaller domain, comparable fill distance
-    return budget
-
-
-def _greedy_config(cfg) -> GreedyConfig:
-    """The one GreedyConfig of a run's selection and budget fits."""
-    return GreedyConfig(max_centers=center_budget(cfg),
-                        residual_tolerance=cfg["greedy"]["residual_tolerance"])
-
-
-def _dt_tag(dt: float) -> str:
-    return fmt(float(dt))
-
-
-def train_one(cfg, dt, train, val, out_dir, worker, step):
-    """Model selection and budget training for one macro step on its
-    training and validation split; worker and step are select_model's.
+def train_one(cfg, dt, tag, train, val, out_dir, worker, step):
+    """Model selection and budget training for macro step dt, tag in its
+    file names, on its training and validation split; worker and step are
+    select_model's.
 
     Writes the greedy trace, convergence curve, and model file.  Returns
     (kernel, surrogate, trace, selection table rows).
     """
-    tag = _dt_tag(dt)
-    greedy_cfg = _greedy_config(cfg)
-    kspec, winner, rows = select_model(_candidates(cfg), greedy_cfg, train, val, worker, step)
+    kspec, winner, rows = select_model(train, val, worker, step)
     rows = [(dt, fam, eps, tr, va,
              "selected" if (fam, eps) == (kspec.family, kspec.epsilon) else note)
             for fam, eps, tr, va, note in rows]
 
     # the winner ran under this config, so the budget fit keeps its picks
     # and only replays the validation pool
-    surr, trace = train_f_greedy(kspec, train, greedy_cfg, validation=val, picks=winner)
+    surr, trace = train_f_greedy(kspec, train, worker.greedy_cfg, validation=val,
+                                 picks=winner)
     write_csv(os.path.join(out_dir, f"greedy_trace_dt{tag}.csv"),
               ["iter", "selected_index", "coord", "max_residual", "power_value",
                "rkhs_error"], trace.rows())
@@ -259,6 +243,9 @@ class _Worker:
     """The run's worker process, and the candidate positions it shares
     with this process.
 
+    specs and greedy_cfg, the run's candidate grid in canonical order and
+    the GreedyConfig of its fits, are derived once here for both processes.
+
     steps holds (tag, train, val) per macro step in schedule order.  Step
     by step, the worker takes candidate positions and appends what
     _scored_fit gives for each, or the exception it raised, to the spool:
@@ -283,10 +270,15 @@ class _Worker:
     COUNTER = struct.Struct("<q")
 
     def __init__(self, cfg, steps, manifest):
-        self.cfg, self.steps = cfg, steps
+        self.specs = _candidates(cfg)
+        budget = cfg["greedy"]["max_centers"]
+        if cfg["scenario"] == "B" and cfg["experiment"] == "pendulum":
+            budget = max(1, budget // 2)        # smaller domain, comparable fill distance
+        self.greedy_cfg = GreedyConfig(budget, cfg["greedy"]["residual_tolerance"])
+        self.steps = steps
         self.taken = [0] * len(steps)
         self.pid = self.notices = self.spool = self.held = self.info = None
-        if hasattr(os, "fork") and len(steps) * len(_candidates(cfg)) > 1:
+        if hasattr(os, "fork") and len(steps) * len(self.specs) > 1:
             self.info = {"fits": None, "child_s": None, "wait_s": 0.0, "exit": None,
                          "private_mb": None}
         manifest["worker"] = self.info
@@ -319,13 +311,12 @@ class _Worker:
         try:
             start = perf_counter()
             self.end = self.COUNTER.size * len(self.steps)
-            specs, greedy_cfg = _candidates(self.cfg), _greedy_config(self.cfg)
             fits = []
             for step, (_, train, val) in enumerate(self.steps):
                 fits.append(0)
-                while (k := self.claim(step)) < len(specs):
+                while (k := self.claim(step)) < len(self.specs):
                     try:
-                        item = _scored_fit(specs[k], greedy_cfg, train, val)
+                        item = _scored_fit(self.specs[k], self.greedy_cfg, train, val)
                     except Exception as exc:  # raised again in the parent
                         item = (None, exc)
                     self._send(write_fd, item)
@@ -362,15 +353,18 @@ class _Worker:
             os.lockf(fd, os.F_ULOCK, size * len(self.steps))
         return k
 
-    def take(self, spec, greedy_cfg, train):
-        """The worker's next candidate, spec, as _scored_fit gives it, its
-        fit passed through train_f_greedy's picks; an exception that is not
-        a package error is raised here."""
+    def take(self, p, train):
+        """The worker's next candidate, position p, as _scored_fit gives
+        it, its fit passed through train_f_greedy's picks; an exception
+        that is not a package error is raised here."""
         fit, outcome = self._next()
         if isinstance(outcome, Exception):
             raise outcome
         if fit is not None:
-            fit = train_f_greedy(spec, train, greedy_cfg, picks=fit)
+            # The picks return the worker's fit as it is; perfbench's
+            # greedy_fits_eq_config counts this call (CHANGES.md, FOUND on
+            # greedy_fits_eq_config): keep it until perfbench v2.
+            fit = train_f_greedy(self.specs[p], train, self.greedy_cfg, picks=fit)
         return fit, outcome
 
     def _next(self):
@@ -425,7 +419,7 @@ def _splits(cfg, sys_, states, out_dir):
     dT is used, and written, as a float."""
     splits = []
     for dt in map(float, cfg["delta_t_list"]):
-        tag = _dt_tag(dt)
+        tag = fmt(dt)
         data = build_hb_dataset(sys_, states, dt, cfg["micro_dt"],
                                 meta={"scenario": cfg["scenario"], "seed": cfg["seed"]})
         if cfg["emit_datasets"]:
@@ -468,7 +462,7 @@ def _run_stages(cfg, out_dir, manifest, rollouts):
             manifest["reference"] = {"wall_s": perf_counter() - start}
             stages.append("reference")
         for step, (dt, tag, train, val) in enumerate(schedule):
-            kspec, surr, trace, sel_rows[tag] = train_one(cfg, dt, train, val, out_dir,
+            kspec, surr, trace, sel_rows[tag] = train_one(cfg, dt, tag, train, val, out_dir,
                                                           worker, step)
             stages.append(f"trained:{tag}:{kspec.family}:{kspec.epsilon}:{surr.size}")
             summary["per_dt"][tag].update({
@@ -483,7 +477,7 @@ def _run_stages(cfg, out_dir, manifest, rollouts):
                           ["delta_t", "family", "epsilon", "train_error", "val_error", "note"],
                           [row for _, tag_, *_ in splits for row in sel_rows[tag_]])
             if rollouts:
-                outputs[tag] = _roll_out(cfg, sys_, dt, surr, trace,
+                outputs[tag] = _roll_out(cfg, sys_, dt, tag, surr, trace,
                                          ref_path, stride, summary["per_dt"][tag])
                 stages.append(f"rollout:{tag}")
     if not rollouts:
@@ -507,12 +501,11 @@ def _run_stages(cfg, out_dir, manifest, rollouts):
     return summary
 
 
-def _roll_out(cfg, sys_, dt, surr, trace, ref_path, ref_stride, per_dt):
-    """Predictor and baseline rollouts of one macro step from the test
-    states against the reference path; adds the final errors and solver
-    iterations to per_dt.  Returns (rel_error rows, energy_error rows,
-    convergence series, relative error series)."""
-    tag = _dt_tag(dt)
+def _roll_out(cfg, sys_, dt, tag, surr, trace, ref_path, ref_stride, per_dt):
+    """Predictor and baseline rollouts of macro step dt, tag in its series
+    labels, from the test states against the reference path; adds the final
+    errors and solver iterations to per_dt.  Returns (rel_error rows, energy_error
+    rows, convergence series, relative error series)."""
     conv = trace.convergence_rows()
     centers = np.array([row[0] for row in conv if row[0] > 0], dtype=float)
     conv_plot = [MetricSeries(f"train dT={tag}", centers,

@@ -170,13 +170,10 @@ def _select(kernel, X, Y, max_m, tolerance):
         trace.coord.append(a_star)
 
     trace.final_train_residual = float(np.max(np.abs(r)))
-    m_sel = len(selected)
-    if m_sel == 0:
-        return Surrogate.empty(kernel, d), trace
-    sel = np.asarray(selected)
+    sel = np.asarray(selected, dtype=int)
     # Newton triangular factor of the selected Gram: entries above the
     # diagonal are exact zeros of the orthogonalization, drop the roundoff.
-    trace.newton_factor = np.tril(Z[sel, :m_sel])
+    trace.newton_factor = np.tril(Z[sel, :sel.size])
     coeffs = _tri_solve_upper(trace.newton_factor.T, np.asarray(trace.newton_coeffs))
     surr = Surrogate(kernel, X[sel // d].copy(), (sel % d).astype(int), coeffs)
     return surr, trace
@@ -205,14 +202,10 @@ def _replay_validation(kernel, X, trace, validation):
     trace.final_val_residual = float(np.max(np.abs(rv)))
 
 
-def residual_vector(s: Surrogate, data: HBDataset):
-    """Residual matrix (points x coords): targets minus surrogate gradient."""
-    return data.targets - s.gradient_many(data.inputs)
-
-
 def max_residual_error(s: Surrogate, data: HBDataset) -> float:
-    """Worst-case gradient mismatch over the dataset."""
-    return float(np.max(np.abs(residual_vector(s, data))))
+    """Worst-case gradient mismatch over the dataset: the largest entry of
+    targets minus surrogate gradient."""
+    return float(np.max(np.abs(data.targets - s.gradient_many(data.inputs))))
 
 
 def verify_block_bound(trace: GreedyTrace, m: int):

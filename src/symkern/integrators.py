@@ -84,6 +84,9 @@ def implicit_midpoint_step(sys: HamiltonianSystem, x, dt: float):
     if sys.quadratic:
         L, R = _midpoint_matrices(sys, dt)
         x_new = np.linalg.solve(L, R @ x)
+        # Only the report reads this residual, but perfbench's wave run needs
+        # its call into the system for every_exercised_layer_traced (CHANGES.md,
+        # FOUND on wave's systems layer): keep it until perfbench v2.
         res = float(np.max(np.abs(x_new - x - dt * apply_j(sys.grad(0.5 * (x + x_new))))))
         return x_new, SolveReport(iterations=1, final_residual_norm=res)
     tol = NEWTON_TOL_FACTOR * (1.0 + np.max(np.abs(x[None, :]), axis=1))

@@ -19,8 +19,6 @@ from functools import cache
 
 import numpy as np
 
-from .errors import DimensionMismatch
-
 # Tie-break order for model selection.
 FAMILIES = ("imq", "gaussian", "matern32", "matern52")
 
@@ -88,21 +86,6 @@ def profile_derivs(spec: KernelSpec, s):
 def profile_d1_zero(spec: KernelSpec) -> float:
     """h'(0); the coincident mixed derivative is -2 h'(0) delta_ab."""
     return float(profile_derivs(spec, 0.0)[0])
-
-
-def _check_pair(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DimensionMismatch(f"point shapes differ: {x.shape} vs {y.shape}")
-    return x, y
-
-
-def kernel_grad2(spec: KernelSpec, x, y):
-    """Gradient of k(x, .) in the second argument, evaluated at y."""
-    x, y = _check_pair(x, y)
-    d = x - y
-    return -2.0 * float(profile_derivs(spec, d @ d)[0]) * d
 
 
 def mixed2_self(spec: KernelSpec) -> float:
@@ -241,14 +224,14 @@ def mixed2_accumulate(spec: KernelSpec, X, centers, alphas, coeffs):
 def coord_index(alphas, dim: int):
     """(arange(m), per-coordinate masks alphas == b) of an expansion.
 
-    mixed2_accumulate_precise needs both on every call; callers that
-    evaluate one expansion many times build them once.
+    mixed2_accumulate_precise takes both on every call; a caller that
+    evaluates one expansion many times builds them once.
     """
     alphas = np.asarray(alphas)
     return np.arange(alphas.size), tuple(alphas == b for b in range(dim))
 
 
-def mixed2_accumulate_precise(spec: KernelSpec, x, centers, alphas, coeffs, index=None):
+def mixed2_accumulate_precise(spec: KernelSpec, x, centers, alphas, coeffs, index):
     """Extended-precision gradient of an expansion at one point.
 
     Same quantity as one row of mixed2_accumulate, accumulated in LONG to
@@ -258,7 +241,7 @@ def mixed2_accumulate_precise(spec: KernelSpec, x, centers, alphas, coeffs, inde
     einsum adds each row in sequence, which _sq_norms does not reproduce
     from d = 3 on, and a coordinate-major form was no faster here.
     """
-    rows, masks = coord_index(alphas, x.size) if index is None else index
+    rows, masks = index
     D = np.asarray(x, dtype=LONG)[None, :] - np.asarray(centers, dtype=LONG)
     W, H = _derivative_terms(spec, np.einsum("ij,ij->i", D, D))
     c = np.asarray(coeffs, dtype=LONG)

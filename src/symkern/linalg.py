@@ -29,17 +29,6 @@ def as_matrix(a, square=False, name="matrix"):
     return m
 
 
-def as_vector(b, size=None, name="vector"):
-    v = np.asarray(b, dtype=float)
-    if v.ndim != 1:
-        raise DimensionMismatch(f"{name}: expected 1-d array, got ndim={v.ndim}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name}: non-finite entries rejected")
-    if size is not None and v.size != size:
-        raise DimensionMismatch(f"{name}: expected length {size}, got {v.size}")
-    return v
-
-
 def max_abs(a):
     """Largest absolute entry; the norm used by the structural checks."""
     a = np.asarray(a)
@@ -105,7 +94,13 @@ def cholesky_solve(A, b):
     once the ladder is exhausted.  A is validated by cholesky_factor.
     """
     L, _ = cholesky_factor(A)
-    b = as_vector(b, size=L.shape[0], name="b")
+    b = np.asarray(b, dtype=float)
+    if b.ndim != 1:
+        raise DimensionMismatch(f"b: expected 1-d array, got ndim={b.ndim}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("b: non-finite entries rejected")
+    if b.size != L.shape[0]:
+        raise DimensionMismatch(f"b: expected length {L.shape[0]}, got {b.size}")
     return _tri_solve_upper(L.T, _tri_solve_lower(L, b))
 
 

@@ -53,14 +53,6 @@ class ReducedBasis:
         return max_abs(self.v.T @ jmat(self.full_n) @ self.v - jmat(self.reduced_n))
 
 
-def _basis_from_modes(U: np.ndarray) -> ReducedBasis:
-    basis = ReducedBasis(np.block([[U.real, -U.imag], [U.imag, U.real]]))
-    defect = basis.symplecticity_defect()
-    if defect > SYMPLECTIC_TOL:
-        raise RankDeficient(f"basis failed the symplectic check (defect {defect:.3e})")
-    return basis
-
-
 def csvd_basis(Q, P, reduced_n: int) -> ReducedBasis:
     """Symplectic basis from N x M snapshot blocks Q and P.
 
@@ -94,7 +86,11 @@ def csvd_basis(Q, P, reduced_n: int) -> ReducedBasis:
         if nrm <= RANK_TOL:
             raise RankDeficient(f"mode {j} collapsed during orthonormalization")
         U[:, j] /= nrm
-    return _basis_from_modes(U)
+    basis = ReducedBasis(np.block([[U.real, -U.imag], [U.imag, U.real]]))
+    defect = basis.symplecticity_defect()
+    if defect > SYMPLECTIC_TOL:
+        raise RankDeficient(f"basis failed the symplectic check (defect {defect:.3e})")
+    return basis
 
 
 def reduce_quadratic(basis: ReducedBasis, sys: Quadratic) -> Quadratic:

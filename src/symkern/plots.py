@@ -38,8 +38,6 @@ def _ticks(lo, hi, scale):
         first, last = int(np.floor(lo)), int(np.ceil(hi))
         step = max(1, (last - first) // 8)
         return [(t, f"1e{t}") for t in range(first, last + 1, step)]
-    if hi <= lo:
-        return [(lo, _f(lo))]
     raw = (hi - lo) / 5
     mag = 10.0 ** np.floor(np.log10(raw))
     step = min((s for s in (1 * mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw), default=raw)

@@ -55,8 +55,6 @@ class PredictorModel:
         so the relevant eps is LONG_EPS.
         """
         s = self.surrogate
-        if s.size == 0:
-            return 0.0
         scale = max(1.0, mixed2_self(s.kernel))
         return float(LONG_EPS * np.sum(np.abs(s.coeffs)) * scale)
 
@@ -141,7 +139,7 @@ def rollout(model: PredictorModel, x0, num_steps: int) -> Trajectory:
     return compose(lambda x: predict_step(model, x), x0, model.delta_t, num_steps)
 
 
-def symplecticity_defect(model: PredictorModel, x0, fd_step: float = 1e-6) -> float:
+def symplecticity_defect(model: PredictorModel, x0) -> float:
     """Max-entry norm of D'JD - J for the finite-difference Jacobian D.
 
     The inner solves run at a tightened tolerance so that solver noise
@@ -152,7 +150,7 @@ def symplecticity_defect(model: PredictorModel, x0, fd_step: float = 1e-6) -> fl
     D = np.empty((d, d))
     for j in range(d):
         e = np.zeros(d)
-        e[j] = fd_step
+        e[j] = 1e-6
         up, down = x0 + e, x0 - e
         xp, _ = predict_step(model, up, tol_factor=1e-13)
         xm, _ = predict_step(model, down, tol_factor=1e-13)
@@ -171,8 +169,6 @@ def contraction_margin(model: PredictorModel, region_sample) -> float:
     sample = np.atleast_2d(np.asarray(region_sample, dtype=float))
     if sample.size == 0:
         raise EmptySample("contraction_margin needs at least one state")
-    if model.surrogate.size == 0:
-        return 0.0
     n = model.n
     worst = 0.0
     for x in sample:

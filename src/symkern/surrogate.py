@@ -104,11 +104,8 @@ class Surrogate:
         predictor solves and finite-difference structure checks.
         """
         x = self._check_point(x)
-        if self.size == 0:
-            return np.zeros(self.dim)
         centers, coeffs, index = self._precise_terms
-        return mixed2_accumulate_precise(self.kernel, x, centers, self.coords, coeffs,
-                                         index=index)
+        return mixed2_accumulate_precise(self.kernel, x, centers, self.coords, coeffs, index)
 
     @cached_property
     def _precise_terms(self):
@@ -122,8 +119,6 @@ class Surrogate:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise DimensionMismatch(f"expected (M, {self.dim}) array, got {X.shape}")
-        if self.size == 0:
-            return np.zeros_like(X)
         return mixed2_accumulate(self.kernel, X, self.centers, self.coords, self.coeffs)
 
 
@@ -204,8 +199,6 @@ def rkhs_inner(kernel: KernelSpec, sa: Surrogate, sb: Surrogate) -> float:
         raise DimensionMismatch(f"dimension mismatch: {sa.dim} vs {sb.dim}")
     if sa.kernel != sb.kernel:
         raise ValueError("surrogates must share one kernel")
-    if sa.size == 0 or sb.size == 0:
-        return 0.0
     K = mixed2_pairs(kernel, sa.centers, sa.coords, sb.centers, sb.coords)
     return _quadratic_form(sa.coeffs, K, sb.coeffs)
 

@@ -32,15 +32,10 @@ def apply_j(X):
     return np.concatenate([X[..., n:], -X[..., :n]], axis=-1)
 
 
-def apply_jt(X):
-    """J' x for one state or a batch: (q, p) -> (-p, q)."""
-    X = np.asarray(X, dtype=float)
-    n = X.shape[-1] // 2
-    return np.concatenate([-X[..., n:], X[..., :n]], axis=-1)
-
-
 class HamiltonianSystem:
-    """Common interface; subclasses fill in the batched evaluations."""
+    """Common interface.  Subclasses implement energy_many, grad_many and
+    hess_many of (M, 2n) arrays, and hess_bound(sample), a bound on the
+    Hessian spectral norm over the box of an (M, 2n) sample."""
 
     name = "generic"
     n = 0                      # degrees of freedom
@@ -64,20 +59,6 @@ class HamiltonianSystem:
 
     def hess(self, x):
         return self.hess_many(self._check(x)[None, :])[0]
-
-    # batched evaluations implemented by subclasses:
-    def energy_many(self, X):
-        raise NotImplementedError
-
-    def grad_many(self, X):
-        raise NotImplementedError
-
-    def hess_many(self, X):
-        raise NotImplementedError
-
-    def hess_bound(self, sample) -> float:
-        """Bound on the Hessian spectral norm over the box of an (M, 2n) sample."""
-        raise NotImplementedError
 
 
 class Pendulum(HamiltonianSystem):

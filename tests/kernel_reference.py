@@ -15,21 +15,21 @@ and raised a stall exception, where predictor._solve_momentum returns its
 last iterate and predict_step reads a stall from the residual.
 The fast forms must reproduce them bit for bit, so the tests compare with
 np.array_equal, or byte for byte where the sign of a zero matters.  The
-forms that only the tests use live here too: the kernel value, one mixed
-second derivative, the potential and the single-point gradient of an
-expansion, and the power function.
+forms that only the tests use live here too: the kernel value, its
+gradient in the second argument, one mixed second derivative, the
+potential and the single-point gradient of an expansion, and the power
+function.
 """
 
 import numpy as np
 
 from symkern import kernels, surrogate
 from symkern.greedy import POWER_CUTOFF
-from symkern.errors import NoConvergence
+from symkern.errors import DimensionMismatch, NoConvergence
 from symkern.integrators import NEWTON_MAX_ITER, SolveReport, step_count
 from symkern.kernels import (
     COINCIDENT_R2,
     LONG,
-    _check_pair,
     mixed2_self,
     profile_d1_zero,
     profile_derivs,
@@ -59,6 +59,21 @@ def profile(spec, s):
     if spec.family == "matern32":
         return (1.0 + t) * np.exp(-t)
     return (1.0 + t + t**2 / 3.0) * np.exp(-t)
+
+
+def _check_pair(x, y):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise DimensionMismatch(f"point shapes differ: {x.shape} vs {y.shape}")
+    return x, y
+
+
+def kernel_grad2(spec, x, y):
+    """Gradient of k(x, .) in the second argument, evaluated at y."""
+    x, y = _check_pair(x, y)
+    d = x - y
+    return -2.0 * float(profile_derivs(spec, d @ d)[0]) * d
 
 
 def kernel_eval(spec, x, y):

@@ -173,9 +173,7 @@ def test_criterion_06_kernel_derivative_consistency():
             u = rng.standard_normal(d)
             r = rng.uniform(0.1, 5.0 / spec.epsilon)
             y = x + r * u / np.linalg.norm(u)
-            from symkern.kernels import kernel_grad2
-
-            g, g_fd = kernel_grad2(spec, x, y), fd_grad2(spec, x, y)
+            g, g_fd = ref.kernel_grad2(spec, x, y), fd_grad2(spec, x, y)
             ok = ok and np.linalg.norm(g - g_fd) <= 1e-6 * np.linalg.norm(g)
             a, b = int(rng.integers(0, d)), int(rng.integers(0, d))
             m, m_fd = ref.kernel_mixed2(spec, x, y, a, b), fd_mixed2(spec, x, y, a, b)

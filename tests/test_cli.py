@@ -189,6 +189,13 @@ def test_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"experiment": "pendulum", "unknown_knob": 1}))
     assert main(["experiment", "pendulum", "--config", str(bad)]) == 2
+    capsys.readouterr()
+    missing = tmp_path / "no-such.json"
+    assert main(["train", "--config", str(missing), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config file: ")
+    assert str(missing) in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("override, where", [
@@ -299,6 +306,9 @@ def test_config_leaf_type_exit_code(tmp_path, capsys, override, where):
      "sampling.target_count must lie in [2, 10000000], got 1"),
     ("train", {"experiment": "pendulum", "sampling": {"grid_counts": [1, 1]}},
      "sampling.grid_counts must hold between 2 and 10000000 grid points"),
+    ("train", {"experiment": "pendulum", "greedy": 5}, "greedy: expected a table, got int"),
+    ("experiment", {"experiment": "pendulum", "scenario": "C"},
+     "scenario must be 'A' or 'B', got 'C'"),
 ], ids=["grid-counts-length", "zero-mass", "negative-length", "empty-chain",
         "zero-target-count", "epsilon-square-overflows", "epsilon-fourth-power-overflows",
         "epsilon-int-overflows", "zero-test-count", "empty-families", "empty-epsilons",
@@ -313,7 +323,8 @@ def test_config_leaf_type_exit_code(tmp_path, capsys, override, where):
         "test-count-too-large", "zero-wave-length", "wave-grid-past-max-dof",
         "chain-past-max-dof", "pendulum-length-too-large", "wave-length-too-small",
         "wave-speed-too-large", "chain-scenario-b-one-mass", "negative-residual-tolerance",
-        "micro-steps-past-limit", "target-count-one", "grid-one-point"])
+        "micro-steps-past-limit", "target-count-one", "grid-one-point",
+        "greedy-not-a-table", "unknown-scenario"])
 def test_config_leaf_value_exit_code(tmp_path, capsys, command, config, message):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))

@@ -7,7 +7,6 @@ from symkern.errors import EmptyDataset, InsufficientTrace
 from symkern.greedy import (
     GreedyConfig,
     max_residual_error,
-    residual_vector,
     train_f_greedy,
     verify_block_bound,
 )
@@ -62,7 +61,7 @@ def test_selected_residuals_vanish():
     rng = np.random.default_rng(2)
     data = make_dataset(rng.uniform(-2, 2, (30, 2)), rng.standard_normal((30, 2)))
     surr, trace = train_f_greedy(GAUSS, data, GreedyConfig(max_centers=20))
-    res = residual_vector(surr, data)
+    res = data.targets - surr.gradient_many(data.inputs)
     for j, a in zip(trace.point_index, trace.coord):
         assert abs(res[j, a]) <= 1e-8
 
@@ -71,14 +70,16 @@ def test_residual_vector_cases():
     rng = np.random.default_rng(3)
     data = make_dataset(rng.uniform(-1, 1, (10, 2)), rng.standard_normal((10, 2)))
     empty = Surrogate.empty(GAUSS, 2)
-    assert np.array_equal(residual_vector(empty, data), data.targets)
+    assert np.array_equal(data.targets - empty.gradient_many(data.inputs), data.targets)
+    assert max_residual_error(empty, data) == np.max(np.abs(data.targets))
 
     single = make_dataset([[0.2, 0.1]], [[1.0, 0.0]])
     s = Surrogate.from_functionals(
         GAUSS, [DerivFunctional(np.array([0.2, 0.1]), 0)], [0.125])
     # one term with coefficient 0.125 has gradient 0.25 in its own coordinate
-    r = residual_vector(s, single)
+    r = single.targets - s.gradient_many(single.inputs)
     assert r[0, 0] == pytest.approx(0.75, abs=1e-12)
+    assert max_residual_error(s, single) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_rkhs_error_nonincreasing_and_update_identity():
@@ -336,3 +337,22 @@ def test_target_errors_of_an_empty_selection():
     _, trace = train_f_greedy(GAUSS, data, GreedyConfig(max_centers=2, residual_tolerance=1e9),
                               synthetic_target=target)
     assert len(trace) == 0 and trace.rkhs_error == [] and trace.rows() == []
+
+
+def test_an_empty_selection_is_the_empty_surrogate():
+    # a tolerance above every target stops before the first pick; the
+    # selection's general path then builds the arrays of Surrogate.empty
+    rng = np.random.default_rng(8)
+    data = make_dataset(rng.uniform(-1, 1, (6, 2)), rng.standard_normal((6, 2)))
+    val = make_dataset(rng.uniform(-1, 1, (4, 2)), rng.standard_normal((4, 2)))
+    surr, trace = train_f_greedy(GAUSS, data, GreedyConfig(max_centers=5, residual_tolerance=1e9),
+                                 validation=val)
+    empty = Surrogate.empty(GAUSS, 2)
+    for name in ("centers", "coords", "coeffs"):
+        got, want = getattr(surr, name), getattr(empty, name)
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+    assert len(trace) == 0 and trace.val_residual == [] and trace.newton_factor is None
+    assert trace.final_train_residual == np.max(np.abs(data.targets))
+    assert trace.final_val_residual == np.max(np.abs(val.targets))
+    assert trace.convergence_rows() == [(0, trace.final_train_residual,
+                                         trace.final_val_residual)]

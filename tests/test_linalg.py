@@ -53,6 +53,12 @@ def test_cholesky_rejects_indefinite():
 def test_cholesky_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         cholesky_solve(np.eye(3), [1.0, 2.0])
+    with pytest.raises(DimensionMismatch, match="b: expected 1-d array, got ndim=2"):
+        cholesky_solve(np.eye(2), [[1.0, 2.0]])
+    with pytest.raises(ValueError, match="b: non-finite entries rejected"):
+        cholesky_solve(np.eye(2), [1.0, np.nan])
+    with pytest.raises(DimensionMismatch, match="b: expected length 3, got 2"):
+        cholesky_solve(np.eye(3), [1.0, 2.0])
 
 
 def test_triangular_solves_equal_row_loops_bitwise():

@@ -4,6 +4,7 @@ import pytest
 import kernel_reference as ref
 from symkern.errors import EmptySeries
 from symkern.integrators import Trajectory, midpoint_many, propagate, step_count
+from symkern.ioutil import fmt
 from symkern.metrics import MetricSeries, compute_metrics, mean_series
 from symkern.plots import emit_line_plot
 from symkern.systems import Chain, Pendulum, Quadratic
@@ -98,6 +99,19 @@ def test_plot_clamps_nonpositive_on_log_axis(tmp_path):
 def test_plot_empty_series_rejected(tmp_path):
     with pytest.raises(EmptySeries):
         emit_line_plot(tmp_path / "x.svg", [], xscale="linear", yscale="log")
+    with pytest.raises(EmptySeries, match="series 'e' is empty"):
+        emit_line_plot(tmp_path / "x.svg", [MetricSeries("e", [], [])])
+    assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize("scale", ["linear", "log"])
+def test_plot_constant_series_has_finite_coordinates(tmp_path, scale):
+    # one point spans no range on either axis: both get widened to one unit
+    path = tmp_path / "c.svg"
+    emit_line_plot(path, [MetricSeries("c", [2.0], [3.0])], xscale=scale, yscale=scale)
+    text = path.read_text()
+    assert text.count("<polyline") == 1
+    assert "nan" not in text and "inf" not in text
 
 
 def test_plot_bytes_deterministic(tmp_path):
@@ -107,3 +121,10 @@ def test_plot_bytes_deterministic(tmp_path):
     emit_line_plot(p1, series, xscale="log", yscale="log", xlabel="m", ylabel="e")
     emit_line_plot(p2, series, xscale="log", yscale="log", xlabel="m", ylabel="e")
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_fmt_numpy_scalars_print_as_builtins():
+    assert fmt(np.int64(3)) == "3"
+    assert fmt(np.float32(0.1)) == "0.10000000149011612"
+    assert fmt(np.bool_(True)) == "True"
+    assert fmt(np.float64(0.1)) == "0.1" and fmt(2) == "2" and fmt("dt") == "dt"

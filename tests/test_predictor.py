@@ -17,7 +17,7 @@ from symkern.predictor import (
     symplecticity_defect,
 )
 from symkern.surrogate import DerivFunctional, Surrogate
-from symkern.systems import Pendulum, Quadratic, apply_j, apply_jt
+from symkern.systems import Pendulum, Quadratic, apply_j
 
 HARMONIC = Quadratic(np.eye(2))
 
@@ -65,7 +65,7 @@ def test_prediction_satisfies_update_identity():
         x0 = rng.uniform(-1, 1, 2)
         pred, _ = predict_step(model, x0)
         xi = np.array([x0[0], pred[1]])
-        lhs = apply_jt(pred - x0) / model.delta_t
+        lhs = -apply_j(pred - x0) / model.delta_t
         assert np.max(np.abs(lhs - ref.gradient(model.surrogate, xi))) <= 1e-9
 
 
@@ -146,6 +146,7 @@ def test_contraction_margin_hand_value():
 def test_contraction_margin_empty_surrogate():
     model = PredictorModel(Surrogate.empty(KernelSpec("gaussian", 1.0), 2), 0.1)
     assert contraction_margin(model, [np.zeros(2)]) == 0.0
+    assert model.gradient_noise_floor == 0.0
 
 
 def test_contraction_margin_trained_model():

@@ -409,3 +409,36 @@ def test_integer_grid_values_are_written_as_floats(tmp_path):
     assert trained == [f"trained:1.0:gaussian:{model['kernel']['epsilon']!r}:8"]
     for name in ("rel_error.csv", "energy_error.csv"):
         assert {row.split(",")[0] for row in (out / name).read_text().splitlines()[1:]} == {"1.0"}
+
+
+def test_the_grid_is_derived_once_per_run(tmp_path, monkeypatch):
+    # the worker holds the one candidate grid and GreedyConfig of a run:
+    # both processes read them from it at every step
+    real, calls = experiment_mod._candidates, []
+
+    def count(cfg):
+        calls.append(os.getpid())
+        return real(cfg)
+
+    monkeypatch.setattr(experiment_mod, "_candidates", count)
+    cfg = _mini()
+    cfg["delta_t_list"] = [0.1, 0.05]
+    run_experiment(cfg, str(tmp_path), rollouts=False)
+    assert calls == [os.getpid()]
+    worker = experiment_mod._Worker(cfg, [], {})
+    assert [(k.family, k.epsilon) for k in worker.specs] == [
+        (f, e) for f in MINI["families"] for e in MINI["epsilons"]]
+    assert worker.greedy_cfg == greedy.GreedyConfig(cfg["greedy"]["max_centers"], 0.0)
+    # scenario B halves the pendulum's center budget
+    cfg["scenario"] = "B"
+    assert experiment_mod._Worker(cfg, [], {}).greedy_cfg.max_centers == \
+        cfg["greedy"]["max_centers"] // 2
+
+
+def test_private_memory_is_null_without_smaps_rollup(monkeypatch):
+    def unreadable(path, *args, **kwargs):
+        raise FileNotFoundError(2, "No such file or directory", path)
+
+    # shadows the builtin for experiment's module only
+    monkeypatch.setattr(experiment_mod, "open", unreadable, raising=False)
+    assert experiment_mod._private_mb() is None

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import kernel_reference as ref
 from symkern import kernels
 from symkern.errors import DimensionMismatch, DuplicateFunctional, InvalidModel
-from symkern.kernels import FAMILIES, KernelSpec, mixed2_accumulate_precise
+from symkern.kernels import FAMILIES, KernelSpec, coord_index, mixed2_accumulate_precise
 from symkern.surrogate import (
     DerivFunctional,
     Surrogate,
@@ -148,7 +148,7 @@ def test_gradient_precise_equals_uncached_evaluation():
     for x in [funcs[2].center, *rng.uniform(-2, 2, (3, 4))]:
         g = s.gradient_precise(x)
         assert np.array_equal(g, mixed2_accumulate_precise(s.kernel, x, s.centers, s.coords,
-                                                           s.coeffs))
+                                                           s.coeffs, coord_index(s.coords, 4)))
         assert np.array_equal(g, ref.mixed2_accumulate_precise(s.kernel, x, s.centers,
                                                                s.coords, s.coeffs))
 
@@ -183,6 +183,10 @@ def test_value_empty_surrogate():
     s = Surrogate.empty(GAUSS, 2)
     assert ref.surrogate_value(s, np.zeros(2)) == 0.0
     assert np.allclose(ref.gradient(s, np.zeros(2)), 0.0)
+    # the general evaluators give zeros of positive sign
+    X = np.random.default_rng(5).uniform(-1, 1, (3, 2))
+    assert s.gradient_many(X).tobytes() == np.zeros((3, 2)).tobytes()
+    assert s.gradient_precise(X[0]).tobytes() == np.zeros(2).tobytes()
 
 
 def test_value_single_term():
@@ -234,6 +238,8 @@ def test_rkhs_inner_basic():
     assert rkhs_inner(GAUSS, empty, empty) == 0.0
     s = Surrogate.from_functionals(GAUSS, [DerivFunctional(np.zeros(1), 0)], [1.0])
     assert rkhs_inner(GAUSS, s, s) == pytest.approx(2.0)
+    # one empty side: the pair matrix has no rows or no columns
+    assert rkhs_inner(GAUSS, empty, s) == 0.0 and rkhs_inner(GAUSS, s, empty) == 0.0
 
 
 def test_rkhs_inner_symmetric():

@@ -9,7 +9,6 @@ from symkern.systems import (
     Quadratic,
     Wave,
     apply_j,
-    apply_jt,
     chain_elongation_matrix,
     jmat,
     resonance_check,
@@ -47,7 +46,11 @@ def test_j_conventions():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(4)
     assert np.allclose(apply_j(x), J @ x)
-    assert np.allclose(apply_jt(x), J.T @ x)
+    assert np.allclose(-apply_j(x), J.T @ x)
+    # negation is exact, so -J x is (q, p) -> (-p, q) with every zero's sign
+    X = np.array([[0.0, -0.0, 1.5, -0.0], [-2.0, 0.0, 0.0, -3.0]])
+    want = np.concatenate([-X[:, 2:], X[:, :2]], axis=1)
+    assert (-apply_j(X)).tobytes() == want.tobytes()
 
 
 def test_pendulum_energies():
